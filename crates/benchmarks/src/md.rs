@@ -67,11 +67,18 @@ fn lj_host(pi: f32, pj: f32) -> f32 {
     }
 }
 
-/// Host reference.
+/// Host reference. The f32 interaction terms are accumulated in f64: at the large size
+/// terms of about 1.7e10 cancel, and an f32 running sum loses the digits the kernels keep.
 pub fn host_reference(positions: &[f32]) -> Vec<f32> {
     positions
         .iter()
-        .map(|pi| positions.iter().map(|pj| lj_host(*pi, *pj)).sum())
+        .map(|pi| {
+            let sum: f64 = positions
+                .iter()
+                .map(|pj| f64::from(lj_host(*pi, *pj)))
+                .sum();
+            sum as f32
+        })
         .collect()
 }
 

@@ -39,18 +39,22 @@
 //! to the slotted interpreter for that launch. The Lift code generator never emits these
 //! shapes; the fallback keeps the tier sound for hand-written modules.
 
+use std::collections::HashMap;
 use std::rc::Rc;
 
 use lift_ocl::{AddrSpace, CBinOp, CUnOp};
 
+use crate::cost::CostCounters;
 use crate::exec::{
     compare, CastKind, Exec, Group, Math1, Math2, SExpr, SIndex, SLhs, SStmt, ShadowCell, Thread,
     VgpuError, WorkItemFn,
 };
 use crate::memory::{GpuValue, Ptr};
 
-/// Register operand bit selecting the per-thread cell file over the scratch file.
+/// Register operand bit selecting the cell file.
 const CELL_BIT: u32 = 1 << 31;
+/// Register operand bit selecting the constant pool.
+const CONST_BIT: u32 = 1 << 30;
 /// "Discard the result" destination marker for [`RowOp::Eval`].
 const NO_DST: u32 = u32::MAX;
 
@@ -64,7 +68,33 @@ pub(crate) enum V {
     Float(f64),
     Int(i64),
     Bool(bool),
-    Ptr(Ptr),
+    Ptr(CPtr),
+}
+
+/// A [`Ptr`] packed into 16 bytes, so a [`V`] register is 16 bytes as well.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub(crate) struct CPtr {
+    offset: i64,
+    buffer: u32,
+    space: AddrSpace,
+}
+
+impl CPtr {
+    fn new(space: AddrSpace, buffer: usize, offset: i64) -> CPtr {
+        CPtr {
+            offset,
+            buffer: u32::try_from(buffer).expect("buffer table fits in u32"),
+            space,
+        }
+    }
+
+    fn unpack(self) -> Ptr {
+        Ptr {
+            space: self.space,
+            buffer: self.buffer as usize,
+            offset: self.offset,
+        }
+    }
 }
 
 impl V {
@@ -105,7 +135,7 @@ impl V {
     }
 
     /// Mirrors [`GpuValue::as_ptr`].
-    fn as_ptr(self) -> Option<Ptr> {
+    fn as_ptr(self) -> Option<CPtr> {
         match self {
             V::Ptr(p) => Some(p),
             _ => None,
@@ -153,22 +183,11 @@ impl Val {
     }
 }
 
-/// Expression bytecode, executed per work item within a row. Destinations are always scratch
-/// registers; sources may carry [`CELL_BIT`]. Jump targets are relative to the row program.
+/// Expression bytecode. Each op runs over all lanes of its row at once. Destinations are
+/// always scratch registers; sources may carry [`CELL_BIT`] or [`CONST_BIT`]. Jump targets
+/// are relative to the row program and always point forward.
 #[derive(Clone, Copy)]
 enum EOp {
-    IntC {
-        dst: u32,
-        v: i64,
-    },
-    FloatC {
-        dst: u32,
-        v: f64,
-    },
-    BoolC {
-        dst: u32,
-        v: bool,
-    },
     Mov {
         dst: u32,
         src: u32,
@@ -232,15 +251,13 @@ enum EOp {
         dst: u32,
         src: u32,
     },
-    /// `int_ops += n` — index-expression and ternary-condition charges.
-    ChargeInt {
-        n: u64,
-    },
-    /// `div_mod_ops += 1`, charged before the divisor evaluates (interpreter order).
-    ChargeDivMod,
-    /// `vector_accesses += width` after a `vload`/`vstore`.
-    ChargeVec {
-        width: u64,
+    /// Per lane: `int_ops += int_ops` (index-expression and ternary-condition charges),
+    /// `div_mod_ops += div_mod_ops` (index divisions), `vector_accesses += vector_accesses`
+    /// (`vload`/`vstore` widths). [`Compiler::merge_charges`] leaves one per basic block.
+    Charge {
+        int_ops: u32,
+        div_mod_ops: u32,
+        vector_accesses: u32,
     },
     /// Errors with [`VgpuError::DivisionByZero`] if the register is integer zero.
     ZChk {
@@ -316,7 +333,7 @@ enum EOp {
         width: u32,
         lane: u32,
     },
-    /// Jump if the condition register is false (`as_bool`).
+    /// Lanes whose condition register is false (`as_bool`) jump.
     Jz {
         cond: u32,
         target: u32,
@@ -330,7 +347,16 @@ enum EOp {
     },
 }
 
-/// Row-level ops: each handles the per-thread loop of one lock-step statement row.
+/// A row program: a slice of [`Program::code`], and whether it may store to global or local
+/// memory (then its lanes run one at a time, in thread order).
+#[derive(Clone, Copy)]
+struct Prog {
+    start: u32,
+    len: u32,
+    serial: bool,
+}
+
+/// Row-level ops: each runs one lock-step statement row over the active lanes of the group.
 #[derive(Clone, Copy)]
 enum RowOp {
     Ret,
@@ -350,20 +376,18 @@ enum RowOp {
     ZeroCell {
         cell: u32,
     },
-    /// Run a row program per active thread; copy `lanes` registers from `src` into the cell
-    /// file at `dst` ([`NO_DST`] discards). Flushes the coalescing window afterwards.
+    /// Run a row program over the active lanes; copy `lanes` registers from `src` into the
+    /// cell file at `dst` ([`NO_DST`] discards). Flushes the coalescing window afterwards.
     Eval {
-        start: u32,
-        len: u32,
+        prog: Prog,
         src: u32,
         dst: u32,
         lanes: u32,
     },
-    /// Evaluate the condition per active thread (charging `int_ops`), push the then-mask if
-    /// any thread took it, else jump to `else_pc`.
+    /// Evaluate the condition per active lane (charging `int_ops`), push the then-mask if
+    /// any lane took it, else jump to `else_pc`.
     If {
-        start: u32,
-        len: u32,
+        prog: Prog,
         cond: u32,
         else_pc: usize,
         has_else: bool,
@@ -377,23 +401,20 @@ enum RowOp {
     EndIf,
     /// Evaluate the loop initialiser into the loop-variable cell.
     ForInit {
-        start: u32,
-        len: u32,
+        prog: Prog,
         src: u32,
         cell: u32,
     },
-    /// One loop round: charge a row, evaluate the condition per active thread, push the
+    /// One loop round: charge a row, evaluate the condition per active lane, push the
     /// iteration mask or exit to `end_pc`.
     ForHead {
-        start: u32,
-        len: u32,
+        prog: Prog,
         cond: u32,
         end_pc: usize,
     },
-    /// Advance the loop variable per iterating thread, pop the iteration mask, jump back.
+    /// Advance the loop variable per iterating lane, pop the iteration mask, jump back.
     ForStep {
-        start: u32,
-        len: u32,
+        prog: Prog,
         src: u32,
         cell: u32,
         slot: u32,
@@ -406,13 +427,14 @@ enum RowOp {
     },
 }
 
-/// A compiled kernel body: row stream, expression code, error table, the per-thread cell
-/// prototype (kernel parameters pre-merged) and the scratch-file size.
+/// A compiled kernel body: row stream, expression code, error table, the per-lane cell
+/// prototype (kernel parameters pre-merged), the constant pool and the scratch-file size.
 pub(crate) struct Program {
     rows: Vec<RowOp>,
     code: Vec<EOp>,
     errors: Vec<VgpuError>,
     proto: Vec<V>,
+    consts: Vec<V>,
     n_scratch: u32,
 }
 
@@ -436,12 +458,18 @@ struct Compiler<'a> {
     cells: Vec<Option<CellInfo>>,
     n_cell_regs: u32,
     proto: Vec<V>,
+    consts: Vec<V>,
+    /// Constant-pool index by variant and bit pattern.
+    const_ids: HashMap<(u8, u64), u32>,
     /// Start of the current row program in `code` (jump targets are relative to it).
     prog_start: usize,
     scratch_top: u32,
     max_scratch: u32,
-    /// Slots declared as `__local` arrays (their reads in index position are unsupported).
-    local_decl: Vec<bool>,
+    /// How the body defines each slot.
+    defs: Vec<SlotDefs>,
+    /// Per cell register: the cell only ever holds a private-array pointer (or nothing), so
+    /// stores through it cannot be seen by another lane.
+    private_cells: Vec<bool>,
     /// Inlining stack of user-function indices (recursion is unsupported).
     fn_stack: Vec<usize>,
     /// Substitution stack for inlined user-function parameters (innermost binding last).
@@ -453,7 +481,7 @@ struct Compiler<'a> {
 /// interpreter).
 pub(crate) fn compile(body: &[SStmt], exec: &Exec) -> Result<Program, String> {
     let nslots = exec.names.len();
-    let local_decl = prescan(body, nslots, exec)?;
+    let defs = prescan(body, nslots, exec)?;
     let mut c = Compiler {
         exec,
         rows: Vec::new(),
@@ -462,10 +490,13 @@ pub(crate) fn compile(body: &[SStmt], exec: &Exec) -> Result<Program, String> {
         cells: vec![None; nslots],
         n_cell_regs: 0,
         proto: Vec::new(),
+        consts: Vec::new(),
+        const_ids: HashMap::new(),
         prog_start: 0,
         scratch_top: 0,
         max_scratch: 0,
-        local_decl,
+        defs,
+        private_cells: Vec::new(),
         fn_stack: Vec::new(),
         subst: Vec::new(),
     };
@@ -475,39 +506,49 @@ pub(crate) fn compile(body: &[SStmt], exec: &Exec) -> Result<Program, String> {
         code: c.code,
         errors: c.errors,
         proto: c.proto,
+        consts: c.consts,
         n_scratch: c.max_scratch,
     })
 }
 
-/// Collects `__local`-declared slots and rejects bodies whose slot usage cannot be mapped to
+/// The constructs that define a slot in a kernel body.
+#[derive(Clone, Copy, Default)]
+struct SlotDefs {
+    /// Declared as a `__local` array.
+    local: bool,
+    /// Declared as a private array.
+    private: bool,
+    /// Declared as a scalar, assigned, or used as a loop variable.
+    scalar: bool,
+}
+
+/// Collects how each slot is defined and rejects bodies whose slot usage cannot be mapped to
 /// a single cell per slot: a slot that is both a `__local` array and a scalar assignee would
 /// need the interpreter's two-level name resolution, and field assignment mutates only part
 /// of a value.
-fn prescan(body: &[SStmt], nslots: usize, exec: &Exec) -> Result<Vec<bool>, String> {
-    let mut local = vec![false; nslots];
-    let mut assigned = vec![false; nslots];
-    walk(body, &mut local, &mut assigned)?;
-    for slot in 0..nslots {
-        if local[slot] && assigned[slot] {
+fn prescan(body: &[SStmt], nslots: usize, exec: &Exec) -> Result<Vec<SlotDefs>, String> {
+    let mut defs = vec![SlotDefs::default(); nslots];
+    walk(body, &mut defs)?;
+    for (slot, d) in defs.iter().enumerate() {
+        if d.local && (d.private || d.scalar) {
             return Err(format!(
                 "slot `{}` is both a __local array and an assigned variable",
                 exec.names[slot]
             ));
         }
     }
-    Ok(local)
+    Ok(defs)
 }
 
-fn walk(stmts: &[SStmt], local: &mut [bool], assigned: &mut [bool]) -> Result<(), String> {
+fn walk(stmts: &[SStmt], defs: &mut [SlotDefs]) -> Result<(), String> {
     for s in stmts {
         match s {
-            SStmt::Block(ss) => walk(ss, local, assigned)?,
-            SStmt::DeclLocalArray { slot, .. } => local[*slot] = true,
-            SStmt::DeclPrivateArray { slot, .. } | SStmt::DeclScalar { slot, .. } => {
-                assigned[*slot] = true;
-            }
+            SStmt::Block(ss) => walk(ss, defs)?,
+            SStmt::DeclLocalArray { slot, .. } => defs[*slot].local = true,
+            SStmt::DeclPrivateArray { slot, .. } => defs[*slot].private = true,
+            SStmt::DeclScalar { slot, .. } => defs[*slot].scalar = true,
             SStmt::Assign { lhs, .. } => match lhs {
-                SLhs::Var(slot) => assigned[*slot] = true,
+                SLhs::Var(slot) => defs[*slot].scalar = true,
                 SLhs::FieldOfVar(..) => {
                     return Err("assignment to a field of a variable".to_string())
                 }
@@ -516,14 +557,14 @@ fn walk(stmts: &[SStmt], local: &mut [bool], assigned: &mut [bool]) -> Result<()
             SStmt::If {
                 then, otherwise, ..
             } => {
-                walk(then, local, assigned)?;
+                walk(then, defs)?;
                 if let Some(o) = otherwise {
-                    walk(o, local, assigned)?;
+                    walk(o, defs)?;
                 }
             }
             SStmt::For { slot, body, .. } => {
-                assigned[*slot] = true;
-                walk(body, local, assigned)?;
+                defs[*slot].scalar = true;
+                walk(body, defs)?;
             }
             SStmt::Return | SStmt::Barrier | SStmt::Expr(_) => {}
         }
@@ -548,22 +589,41 @@ impl Compiler<'_> {
         self.sn(1)
     }
 
+    /// The constant-pool operand holding `v` (lane-uniform, so it is never materialised
+    /// per lane).
+    fn konst(&mut self, v: V) -> u32 {
+        let key = match v {
+            V::Int(i) => (0, i as u64),
+            V::Float(f) => (1, f.to_bits()),
+            V::Bool(b) => (2, u64::from(b)),
+            V::None | V::Ptr(_) => unreachable!("only numeric constants are pooled"),
+        };
+        let next = self.consts.len() as u32;
+        let id = *self.const_ids.entry(key).or_insert(next);
+        if id == next {
+            self.consts.push(v);
+        }
+        id | CONST_BIT
+    }
+
     fn intc(&mut self, v: i64) -> u32 {
-        let dst = self.s1();
-        self.emit(EOp::IntC { dst, v });
-        dst
+        self.konst(V::Int(v))
     }
 
     fn floatc(&mut self, v: f64) -> u32 {
-        let dst = self.s1();
-        self.emit(EOp::FloatC { dst, v });
-        dst
+        self.konst(V::Float(v))
     }
 
     fn boolc(&mut self, v: bool) -> u32 {
-        let dst = self.s1();
-        self.emit(EOp::BoolC { dst, v });
-        dst
+        self.konst(V::Bool(v))
+    }
+
+    fn charge(&mut self, int_ops: u32, div_mod_ops: u32, vector_accesses: u32) {
+        self.emit(EOp::Charge {
+            int_ops,
+            div_mod_ops,
+            vector_accesses,
+        });
     }
 
     fn errid(&mut self, e: VgpuError) -> u32 {
@@ -616,17 +676,84 @@ impl Compiler<'_> {
         }
     }
 
-    /// Begins a row program: resets the scratch allocator and records the start for
-    /// relative jump targets; returns `(start, len, result)`.
+    /// Compiles a row program: resets the scratch allocator and records the start for
+    /// relative jump targets. A program that may store outside private memory is marked
+    /// serial: its lanes can observe each other's stores, so they must run in thread order.
     fn row_prog<T>(
         &mut self,
         f: impl FnOnce(&mut Self) -> Result<T, String>,
-    ) -> Result<(u32, u32, T), String> {
+    ) -> Result<(Prog, T), String> {
         let start = self.code.len();
         self.prog_start = start;
         self.scratch_top = 0;
         let out = f(self)?;
-        Ok((start as u32, (self.code.len() - start) as u32, out))
+        self.merge_charges(start);
+        let serial = self.code[start..].iter().any(|op| match *op {
+            EOp::StoreChk { ptr, .. } | EOp::StoreLane { ptr, .. } => {
+                ptr & CELL_BIT == 0 || !self.private_cells[(ptr ^ CELL_BIT) as usize]
+            }
+            _ => false,
+        });
+        let prog = Prog {
+            start: start as u32,
+            len: (self.code.len() - start) as u32,
+            serial,
+        };
+        Ok((prog, out))
+    }
+
+    /// Sums the charges of each basic block of the program starting at `start` into the
+    /// block's first charge op and drops the rest, remapping jump targets. Where a charge sits
+    /// in its block cannot be observed: every lane that enters a block either runs all of it
+    /// or fails the launch, and a failed launch reports no counters.
+    fn merge_charges(&mut self, start: usize) {
+        let code = self.code.split_off(start);
+        let mut leader = vec![false; code.len() + 1];
+        leader[0] = true;
+        for (i, op) in code.iter().enumerate() {
+            if let EOp::Jz { target, .. } | EOp::Jmp { target } = *op {
+                leader[target as usize] = true;
+                leader[i + 1] = true;
+            }
+        }
+        let mut new_index = Vec::with_capacity(code.len() + 1);
+        let mut merged: Vec<EOp> = Vec::with_capacity(code.len());
+        let mut block_charge = None;
+        for (i, op) in code.iter().enumerate() {
+            if leader[i] {
+                block_charge = None;
+            }
+            new_index.push(merged.len() as u32);
+            if let EOp::Charge {
+                int_ops,
+                div_mod_ops,
+                vector_accesses,
+            } = *op
+            {
+                if let Some(at) = block_charge {
+                    if let EOp::Charge {
+                        int_ops: i,
+                        div_mod_ops: d,
+                        vector_accesses: v,
+                    } = &mut merged[at]
+                    {
+                        *i += int_ops;
+                        *d += div_mod_ops;
+                        *v += vector_accesses;
+                    }
+                    continue;
+                }
+                block_charge = Some(merged.len());
+            }
+            merged.push(*op);
+        }
+        new_index.push(merged.len() as u32);
+        for op in &mut merged {
+            if let EOp::Jz { target, .. } | EOp::Jmp { target } = op {
+                *target = new_index[*target as usize];
+            }
+        }
+        self.code.extend(merged);
     }
 
     /// The cell of `slot`, allocating on first touch. `want` enforces a shape (assignments,
@@ -656,7 +783,7 @@ impl Compiler<'_> {
                         GpuValue::Float(v) => V::Float(*v),
                         GpuValue::Int(v) => V::Int(*v),
                         GpuValue::Bool(b) => V::Bool(*b),
-                        GpuValue::Ptr(p) => V::Ptr(*p),
+                        GpuValue::Ptr(p) => V::Ptr(CPtr::new(p.space, p.buffer, p.offset)),
                         GpuValue::Vector(_) | GpuValue::Struct(_) => {
                             return Err(format!(
                                 "aggregate kernel parameter `{}`",
@@ -684,6 +811,10 @@ impl Compiler<'_> {
             }
             false
         };
+        let d = self.defs[slot];
+        let private = d.private && !d.scalar && !d.local && param.is_none();
+        self.private_cells
+            .resize(self.n_cell_regs as usize, private);
         let info = CellInfo {
             base,
             shape,
@@ -734,7 +865,7 @@ impl Compiler<'_> {
             self.emit(EOp::IdxOf { dst, src: v.base });
             return Ok(dst);
         }
-        if self.local_decl[slot] {
+        if self.defs[slot].local {
             return Err(format!(
                 "__local array `{}` read in index position",
                 self.exec.names[slot]
@@ -865,9 +996,7 @@ impl Compiler<'_> {
                         lane,
                     });
                 }
-                self.emit(EOp::ChargeVec {
-                    width: *width as u64,
-                });
+                self.charge(0, 0, w);
                 Ok(Val {
                     base: dst,
                     shape: Shape::Vector(w),
@@ -905,9 +1034,7 @@ impl Compiler<'_> {
                         lane,
                     });
                 }
-                self.emit(EOp::ChargeVec {
-                    width: *width as u64,
-                });
+                self.charge(0, 0, w);
                 Ok(Val::scalar(self.intc(0)))
             }
             SExpr::Math1(kind, a) => {
@@ -1052,7 +1179,7 @@ impl Compiler<'_> {
             SExpr::Ternary(c, t, other) => {
                 let vc = self.expr(c)?;
                 let rc = self.cond(vc);
-                self.emit(EOp::ChargeInt { n: 1 });
+                self.charge(1, 0, 0);
                 let jz_at = self.code.len();
                 self.emit(EOp::Jz {
                     cond: rc,
@@ -1137,9 +1264,7 @@ impl Compiler<'_> {
             SIndex::Var(slot) => self.read_idx_var(*slot),
             SIndex::Sum(ts) => {
                 if ts.len() > 1 {
-                    self.emit(EOp::ChargeInt {
-                        n: (ts.len() - 1) as u64,
-                    });
+                    self.charge(ts.len() as u32 - 1, 0, 0);
                 }
                 if ts.is_empty() {
                     return Ok(self.intc(0));
@@ -1155,9 +1280,7 @@ impl Compiler<'_> {
             }
             SIndex::Prod(fs) => {
                 if fs.len() > 1 {
-                    self.emit(EOp::ChargeInt {
-                        n: (fs.len() - 1) as u64,
-                    });
+                    self.charge(fs.len() as u32 - 1, 0, 0);
                 }
                 if fs.is_empty() {
                     return Ok(self.intc(1));
@@ -1172,7 +1295,7 @@ impl Compiler<'_> {
                 Ok(acc)
             }
             SIndex::IntDiv(a, b) => {
-                self.emit(EOp::ChargeDivMod);
+                self.charge(0, 1, 0);
                 let rb = self.index(b)?;
                 self.emit(EOp::ZChk { src: rb });
                 let ra = self.index(a)?;
@@ -1181,7 +1304,7 @@ impl Compiler<'_> {
                 Ok(dst)
             }
             SIndex::Mod(a, b) => {
-                self.emit(EOp::ChargeDivMod);
+                self.charge(0, 1, 0);
                 let rb = self.index(b)?;
                 self.emit(EOp::ZChk { src: rb });
                 let ra = self.index(a)?;
@@ -1190,9 +1313,8 @@ impl Compiler<'_> {
                 Ok(dst)
             }
             SIndex::Pow(b, e) => {
-                let n = u64::from(e.saturating_sub(1));
-                if n > 0 {
-                    self.emit(EOp::ChargeInt { n });
+                if *e > 1 {
+                    self.charge(e - 1, 0, 0);
                 }
                 let src = self.index(b)?;
                 let dst = self.s1();
@@ -1200,7 +1322,7 @@ impl Compiler<'_> {
                 Ok(dst)
             }
             SIndex::Min(a, b) => {
-                self.emit(EOp::ChargeInt { n: 1 });
+                self.charge(1, 0, 0);
                 let ra = self.index(a)?;
                 let rb = self.index(b)?;
                 let dst = self.s1();
@@ -1208,7 +1330,7 @@ impl Compiler<'_> {
                 Ok(dst)
             }
             SIndex::Max(a, b) => {
-                self.emit(EOp::ChargeInt { n: 1 });
+                self.charge(1, 0, 0);
                 let ra = self.index(a)?;
                 let rb = self.index(b)?;
                 let dst = self.s1();
@@ -1279,11 +1401,10 @@ impl Compiler<'_> {
                         self.rows.push(RowOp::ZeroCell { cell: info.base });
                     }
                     Some(e) => {
-                        let (start, len, v) = self.row_prog(|c| c.expr(e))?;
+                        let (prog, v) = self.row_prog(|c| c.expr(e))?;
                         let info = self.cell(*slot, Some(v.shape))?;
                         self.rows.push(RowOp::Eval {
-                            start,
-                            len,
+                            prog,
                             src: v.base,
                             dst: info.base,
                             lanes: v.shape.lanes(),
@@ -1294,11 +1415,10 @@ impl Compiler<'_> {
             }
             SStmt::Assign { lhs, rhs } => match lhs {
                 SLhs::Var(slot) => {
-                    let (start, len, v) = self.row_prog(|c| c.expr(rhs))?;
+                    let (prog, v) = self.row_prog(|c| c.expr(rhs))?;
                     let info = self.cell(*slot, Some(v.shape))?;
                     self.rows.push(RowOp::Eval {
-                        start,
-                        len,
+                        prog,
                         src: v.base,
                         dst: info.base,
                         lanes: v.shape.lanes(),
@@ -1306,7 +1426,7 @@ impl Compiler<'_> {
                     Ok(())
                 }
                 SLhs::Array(arr, idx) => {
-                    let (start, len, ()) = self.row_prog(|c| {
+                    let (prog, ()) = self.row_prog(|c| {
                         let vr = c.expr(rhs)?;
                         let va = c.expr(arr)?;
                         if !va.shape.is_scalar() {
@@ -1332,8 +1452,7 @@ impl Compiler<'_> {
                         Ok(())
                     })?;
                     self.rows.push(RowOp::Eval {
-                        start,
-                        len,
+                        prog,
                         src: 0,
                         dst: NO_DST,
                         lanes: 0,
@@ -1342,14 +1461,13 @@ impl Compiler<'_> {
                 }
                 SLhs::FieldOfVar(..) => Err("assignment to a field of a variable".to_string()),
                 SLhs::Invalid(rendering) => {
-                    let (start, len, ()) = self.row_prog(|c| {
+                    let (prog, ()) = self.row_prog(|c| {
                         c.expr(rhs)?;
                         c.fail(VgpuError::InvalidStore(rendering.clone()));
                         Ok(())
                     })?;
                     self.rows.push(RowOp::Eval {
-                        start,
-                        len,
+                        prog,
                         src: 0,
                         dst: NO_DST,
                         lanes: 0,
@@ -1358,10 +1476,9 @@ impl Compiler<'_> {
                 }
             },
             SStmt::Expr(e) => {
-                let (start, len, _) = self.row_prog(|c| c.expr(e))?;
+                let (prog, _) = self.row_prog(|c| c.expr(e))?;
                 self.rows.push(RowOp::Eval {
-                    start,
-                    len,
+                    prog,
                     src: 0,
                     dst: NO_DST,
                     lanes: 0,
@@ -1373,14 +1490,13 @@ impl Compiler<'_> {
                 then,
                 otherwise,
             } => {
-                let (start, len, rc) = self.row_prog(|c| {
+                let (prog, rc) = self.row_prog(|c| {
                     let v = c.expr(cond)?;
                     Ok(c.cond(v))
                 })?;
                 let if_at = self.rows.len();
                 self.rows.push(RowOp::If {
-                    start,
-                    len,
+                    prog,
                     cond: rc,
                     else_pc: 0,
                     has_else: otherwise.is_some(),
@@ -1414,36 +1530,33 @@ impl Compiler<'_> {
                 step,
                 body,
             } => {
-                let (istart, ilen, vi) = self.row_prog(|c| c.expr(init))?;
+                let (iprog, vi) = self.row_prog(|c| c.expr(init))?;
                 if !vi.shape.is_scalar() {
                     return Err("aggregate loop variable".to_string());
                 }
                 let info = self.cell(*slot, Some(Shape::Scalar))?;
                 self.rows.push(RowOp::ForInit {
-                    start: istart,
-                    len: ilen,
+                    prog: iprog,
                     src: vi.base,
                     cell: info.base,
                 });
                 let head_at = self.rows.len();
-                let (cstart, clen, rc) = self.row_prog(|c| {
+                let (cprog, rc) = self.row_prog(|c| {
                     let v = c.expr(cond)?;
                     Ok(c.cond(v))
                 })?;
                 self.rows.push(RowOp::ForHead {
-                    start: cstart,
-                    len: clen,
+                    prog: cprog,
                     cond: rc,
                     end_pc: 0,
                 });
                 self.block(body)?;
-                let (sstart, slen, rs) = self.row_prog(|c| {
+                let (sprog, rs) = self.row_prog(|c| {
                     let v = c.expr(step)?;
                     Ok(c.num(v))
                 })?;
                 self.rows.push(RowOp::ForStep {
-                    start: sstart,
-                    len: slen,
+                    prog: sprog,
                     src: rs,
                     cell: info.base,
                     slot: *slot as u32,
@@ -1461,53 +1574,12 @@ impl Compiler<'_> {
 
 // ------------------------------------------------------------------------------- execution
 
-#[inline(always)]
-fn rd(r: u32, cells: &[V], scratch: &[V]) -> V {
-    if r & CELL_BIT != 0 {
-        cells[(r ^ CELL_BIT) as usize]
-    } else {
-        scratch[r as usize]
-    }
-}
-
 /// Executes a compiled program against prepared launch state, mirroring the interpreter's
 /// group/thread iteration order, mask discipline and counter placement exactly.
 pub(crate) fn run(exec: &mut Exec, prog: &Program) -> Result<(), VgpuError> {
     let groups = exec.config.num_groups();
     let local = exec.config.local;
-    let n: usize = local.iter().product();
-    let ncells = prog.proto.len();
-
-    let mut threads: Vec<Thread> = Vec::with_capacity(n);
-    for lz in 0..local[2] {
-        for ly in 0..local[1] {
-            for lx in 0..local[0] {
-                threads.push(Thread {
-                    lid: [lx, ly, lz],
-                    gid: [0, 0, 0],
-                    linear: lx + local[0] * (ly + local[1] * lz),
-                    vals: Vec::new(),
-                    private: Vec::new(),
-                    returned: false,
-                });
-            }
-        }
-    }
-
-    let mut vm = Vm {
-        prog,
-        n,
-        ncells,
-        cells: vec![V::None; ncells * n],
-        scratch: vec![V::None; prog.n_scratch as usize],
-        masks: Vec::with_capacity(n * 4),
-        else_masks: Vec::new(),
-        if_stack: Vec::new(),
-        tm: vec![false; n],
-        em: vec![false; n],
-        threads,
-    };
-
+    let mut vm = Vm::new(prog, local);
     for gz in 0..groups[2] {
         for gy in 0..groups[1] {
             for gx in 0..groups[0] {
@@ -1520,24 +1592,9 @@ pub(crate) fn run(exec: &mut Exec, prog: &Program) -> Result<(), VgpuError> {
                     shadow_local: Vec::new(),
                     local_names: Vec::new(),
                 };
-                for t in vm.threads.iter_mut() {
-                    t.gid = [
-                        gx * local[0] + t.lid[0],
-                        gy * local[1] + t.lid[1],
-                        gz * local[2] + t.lid[2],
-                    ];
-                    t.private.clear();
-                    t.returned = false;
-                }
-                for t in 0..n {
-                    vm.cells[t * ncells..(t + 1) * ncells].copy_from_slice(&prog.proto);
-                }
-                vm.masks.clear();
-                vm.masks.resize(n, true);
-                vm.else_masks.clear();
-                vm.if_stack.clear();
+                vm.start_group(group.id, local);
                 exec.counters.work_groups += 1;
-                exec.counters.work_items += n as u64;
+                exec.counters.work_items += vm.n as u64;
                 let rows_before = exec.counters.lockstep_rows;
                 vm.run_group(exec, &mut group)?;
                 let group_rows = exec.counters.lockstep_rows - rows_before;
@@ -1548,15 +1605,38 @@ pub(crate) fn run(exec: &mut Exec, prog: &Program) -> Result<(), VgpuError> {
     Ok(())
 }
 
-/// Per-launch VM state, reused across work groups: cell/scratch register files, the mask
-/// stack arena (frames of `n` booleans; the top frame is the current activity mask) and the
-/// pending else-mask arena of open `if` rows.
+/// Where each register file starts in [`Vm::regs`]. Every register holds one value per lane
+/// (`n` consecutive entries), so operand decoding happens once per op, not once per lane.
+#[derive(Clone, Copy)]
+struct Layout {
+    n: usize,
+    /// Start of each file, indexed by an operand's top two bits: scratch, constant pool,
+    /// cells.
+    bases: [usize; 4],
+}
+
+impl Layout {
+    #[inline(always)]
+    fn off(self, r: u32) -> usize {
+        self.bases[(r >> 30) as usize] + (r & !(CELL_BIT | CONST_BIT)) as usize * self.n
+    }
+}
+
+/// Per-launch VM state, reused across work groups.
+///
+/// The register files are structure-of-arrays: `regs` holds the cell file, the scratch file
+/// and the constant pool, each register as `n` lane values. The mask stack arena holds
+/// frames of `n` booleans (the top frame is the current activity mask) and the pending
+/// else-mask arena those of open `if` rows. `lanes` is the sorted list of lanes the current
+/// op runs over; lanes that took a forward jump wait in `pending` until the program reaches
+/// the target.
 struct Vm<'p> {
     prog: &'p Program,
     n: usize,
-    ncells: usize,
-    cells: Vec<V>,
-    scratch: Vec<V>,
+    lay: Layout,
+    regs: Vec<V>,
+    /// The cell file at the start of a group: the prototype broadcast to every lane.
+    cell_proto: Vec<V>,
     masks: Vec<bool>,
     else_masks: Vec<bool>,
     /// Per open `if` with an `else`: whether the then-mask was pushed.
@@ -1566,13 +1646,208 @@ struct Vm<'p> {
     /// Transient else-mask buffer.
     em: Vec<bool>,
     threads: Vec<Thread>,
+    lanes: Vec<u32>,
+    pending: Vec<(u32, Vec<u32>)>,
+    /// Recycled lane lists.
+    spare: Vec<Vec<u32>>,
+    /// The lowest lane that failed in the current row, with its error.
+    failure: Option<(u32, VgpuError)>,
+    /// Output buffer of whole-register ops.
+    out: Vec<V>,
 }
 
-impl Vm<'_> {
+impl<'p> Vm<'p> {
+    fn new(prog: &'p Program, local: [usize; 3]) -> Vm<'p> {
+        let n: usize = local.iter().product();
+        let ncells = prog.proto.len();
+        let consts = (ncells + prog.n_scratch as usize) * n;
+        let lay = Layout {
+            n,
+            bases: [ncells * n, consts, 0, 0],
+        };
+        let mut regs = vec![V::None; consts + prog.consts.len() * n];
+        for (k, c) in prog.consts.iter().enumerate() {
+            regs[consts + k * n..consts + (k + 1) * n].fill(*c);
+        }
+        let cell_proto = prog
+            .proto
+            .iter()
+            .flat_map(|v| std::iter::repeat(*v).take(n))
+            .collect();
+        let mut threads: Vec<Thread> = Vec::with_capacity(n);
+        for lz in 0..local[2] {
+            for ly in 0..local[1] {
+                for lx in 0..local[0] {
+                    threads.push(Thread {
+                        lid: [lx, ly, lz],
+                        gid: [0, 0, 0],
+                        linear: lx + local[0] * (ly + local[1] * lz),
+                        vals: Vec::new(),
+                        private: Vec::new(),
+                        returned: false,
+                    });
+                }
+            }
+        }
+        Vm {
+            prog,
+            n,
+            lay,
+            regs,
+            cell_proto,
+            masks: Vec::with_capacity(n * 4),
+            else_masks: Vec::new(),
+            if_stack: Vec::new(),
+            tm: vec![false; n],
+            em: vec![false; n],
+            threads,
+            lanes: Vec::with_capacity(n),
+            pending: Vec::new(),
+            spare: Vec::new(),
+            failure: None,
+            out: Vec::with_capacity(n),
+        }
+    }
+
+    /// Resets the per-group state: work-item ids, private memory, the cell file and masks.
+    fn start_group(&mut self, id: [usize; 3], local: [usize; 3]) {
+        for t in &mut self.threads {
+            t.gid = [
+                id[0] * local[0] + t.lid[0],
+                id[1] * local[1] + t.lid[1],
+                id[2] * local[2] + t.lid[2],
+            ];
+            t.private.clear();
+            t.returned = false;
+        }
+        self.regs[..self.cell_proto.len()].copy_from_slice(&self.cell_proto);
+        self.masks.clear();
+        self.masks.resize(self.n, true);
+        self.else_masks.clear();
+        self.if_stack.clear();
+    }
+
+    fn take_spare(&mut self) -> Vec<u32> {
+        let mut v = self.spare.pop().unwrap_or_default();
+        v.clear();
+        v
+    }
+
+    /// Sets `lanes` to the active lanes of the current mask: masked in and not returned.
+    fn gather(&mut self) {
+        let top = self.masks.len() - self.n;
+        self.lanes.clear();
+        for i in 0..self.n {
+            if self.masks[top + i] && !self.threads[i].returned {
+                self.lanes.push(i as u32);
+            }
+        }
+    }
+
+    /// Raises the row failure for the lane at `pos` of `lanes`. Every active lane fails
+    /// below all earlier failures (those lanes were dropped), so this is the lowest failing
+    /// lane so far; it and the lanes above it stop, since thread order never runs them.
+    fn fail_at(&mut self, pos: usize, err: VgpuError) {
+        let lane = self.lanes[pos];
+        self.lanes.truncate(pos);
+        for (_, parked) in &mut self.pending {
+            parked.retain(|&l| l < lane);
+        }
+        self.failure = Some((lane, err));
+    }
+
+    /// The row's error, if a lane failed.
+    fn finish_row(&mut self) -> Result<(), VgpuError> {
+        match self.failure.take() {
+            Some((_, err)) => Err(err),
+            None => Ok(()),
+        }
+    }
+
+    /// Runs row program `p` over `lanes`; afterwards `lanes` holds the lanes that completed
+    /// it, all below the failing lane if one failed.
+    ///
+    /// A program without global or local stores runs each op over all lanes at once: no
+    /// lane can observe another's effects, so only three things depend on the order, and
+    /// each is restored. Counters are sums. A failure reports the lowest failing lane. The
+    /// race detector's reader updates are deferred and replayed in (lane, op) order. A
+    /// program that may store runs lane by lane in thread order instead.
+    fn run_row(&mut self, exec: &mut Exec, group: &mut Group, p: Prog) {
+        let prog = self.prog;
+        let code = &prog.code[p.start as usize..(p.start + p.len) as usize];
+        if p.serial {
+            let single = self.take_spare();
+            let active = std::mem::replace(&mut self.lanes, single);
+            let mut done = self.take_spare();
+            for &l in &active {
+                self.lanes.clear();
+                self.lanes.push(l);
+                self.exec_prog(exec, group, code);
+                if self.failure.is_some() {
+                    break;
+                }
+                done.push(l);
+            }
+            let single = std::mem::replace(&mut self.lanes, done);
+            self.spare.push(single);
+            self.spare.push(active);
+        } else {
+            exec.defer_reads = exec.detect;
+            self.exec_prog(exec, group, code);
+            if exec.detect {
+                exec.defer_reads = false;
+                exec.replay_reads(group);
+            }
+        }
+    }
+
+    /// Lanes parked at jump target `pc` rejoin `lanes`, keeping it sorted.
+    fn rejoin(&mut self, pc: u32) {
+        let mut i = 0;
+        while i < self.pending.len() {
+            if self.pending[i].0 != pc {
+                i += 1;
+                continue;
+            }
+            let (_, parked) = self.pending.swap_remove(i);
+            if self.lanes.is_empty() {
+                let old = std::mem::replace(&mut self.lanes, parked);
+                self.spare.push(old);
+                continue;
+            }
+            let mut merged = self.take_spare();
+            let (a, b) = (&self.lanes, &parked);
+            let (mut x, mut y) = (0, 0);
+            while x < a.len() && y < b.len() {
+                if a[x] < b[y] {
+                    merged.push(a[x]);
+                    x += 1;
+                } else {
+                    merged.push(b[y]);
+                    y += 1;
+                }
+            }
+            merged.extend_from_slice(&a[x..]);
+            merged.extend_from_slice(&b[y..]);
+            let old = std::mem::replace(&mut self.lanes, merged);
+            self.spare.push(old);
+            self.spare.push(parked);
+        }
+    }
+
+    /// Parks lanes that jumped to `target` until the program reaches it.
+    fn park(&mut self, target: u32, parked: Vec<u32>) {
+        if parked.is_empty() {
+            self.spare.push(parked);
+        } else {
+            self.pending.push((target, parked));
+        }
+    }
+
     #[allow(clippy::too_many_lines)]
     fn run_group(&mut self, exec: &mut Exec, group: &mut Group) -> Result<(), VgpuError> {
         let n = self.n;
-        let ncells = self.ncells;
+        let lay = self.lay;
         let mut pc = 0usize;
         while pc < self.prog.rows.len() {
             match self.prog.rows[pc] {
@@ -1618,116 +1893,78 @@ impl Vm<'_> {
                         group.shadow_local.push(vec![ShadowCell::default(); len]);
                         group.local_names.push(exec.names[slot as usize].clone());
                     }
-                    let p = V::Ptr(Ptr {
-                        space: AddrSpace::Local,
-                        buffer: idx,
-                        offset: 0,
-                    });
-                    // The allocation is group-wide: every thread resolves the slot to it,
+                    // The allocation is group-wide: every lane resolves the slot to it,
                     // regardless of the current mask (interpreter semantics).
-                    for t in 0..n {
-                        self.cells[t * ncells + cell as usize] = p;
-                    }
+                    let c = cell as usize * n;
+                    self.regs[c..c + n].fill(V::Ptr(CPtr::new(AddrSpace::Local, idx, 0)));
                     pc += 1;
                 }
                 RowOp::DeclPrivate { cell, len } => {
                     exec.counters.lockstep_rows += 1;
-                    let top = self.masks.len() - n;
-                    for i in 0..n {
-                        if !self.masks[top + i] || self.threads[i].returned {
-                            continue;
-                        }
-                        let t = &mut self.threads[i];
+                    self.gather();
+                    let c = cell as usize * n;
+                    for &l in &self.lanes {
+                        let t = &mut self.threads[l as usize];
                         let idx = t.private.len();
                         t.private.push(vec![0.0; len]);
-                        self.cells[i * ncells + cell as usize] = V::Ptr(Ptr {
-                            space: AddrSpace::Private,
-                            buffer: idx,
-                            offset: 0,
-                        });
+                        self.regs[c + l as usize] = V::Ptr(CPtr::new(AddrSpace::Private, idx, 0));
                     }
                     pc += 1;
                 }
                 RowOp::ZeroCell { cell } => {
                     exec.counters.lockstep_rows += 1;
-                    let top = self.masks.len() - n;
-                    for i in 0..n {
-                        if self.masks[top + i] && !self.threads[i].returned {
-                            self.cells[i * ncells + cell as usize] = V::Float(0.0);
-                        }
+                    self.gather();
+                    let c = cell as usize * n;
+                    for &l in &self.lanes {
+                        self.regs[c + l as usize] = V::Float(0.0);
                     }
                     pc += 1;
                 }
                 RowOp::Eval {
-                    start,
-                    len,
+                    prog,
                     src,
                     dst,
                     lanes,
                 } => {
                     exec.counters.lockstep_rows += 1;
-                    let code = &self.prog.code[start as usize..(start + len) as usize];
-                    let top = self.masks.len() - n;
-                    for i in 0..n {
-                        if !self.masks[top + i] || self.threads[i].returned {
-                            continue;
-                        }
-                        let tc = &mut self.cells[i * ncells..(i + 1) * ncells];
-                        run_prog(
-                            code,
-                            &self.prog.errors,
-                            exec,
-                            group,
-                            &mut self.threads[i],
-                            tc,
-                            &mut self.scratch,
-                        )?;
-                        if dst != NO_DST {
-                            for k in 0..lanes {
-                                let v = rd(src + k, tc, &self.scratch);
-                                tc[(dst + k) as usize] = v;
+                    self.gather();
+                    self.run_row(exec, group, prog);
+                    if dst != NO_DST {
+                        for k in 0..lanes {
+                            let (s, d) = (lay.off(src + k), (dst + k) as usize * n);
+                            for &l in &self.lanes {
+                                self.regs[d + l as usize] = self.regs[s + l as usize];
                             }
                         }
                     }
+                    self.finish_row()?;
                     exec.flush_accesses();
                     pc += 1;
                 }
                 RowOp::If {
-                    start,
-                    len,
+                    prog,
                     cond,
                     else_pc,
                     has_else,
                 } => {
                     exec.counters.lockstep_rows += 1;
-                    let code = &self.prog.code[start as usize..(start + len) as usize];
-                    let top = self.masks.len() - n;
+                    self.gather();
+                    self.run_row(exec, group, prog);
                     self.tm.fill(false);
                     self.em.fill(false);
                     let mut any_then = false;
-                    for i in 0..n {
-                        if !self.masks[top + i] || self.threads[i].returned {
-                            continue;
-                        }
-                        let tc = &mut self.cells[i * ncells..(i + 1) * ncells];
-                        run_prog(
-                            code,
-                            &self.prog.errors,
-                            exec,
-                            group,
-                            &mut self.threads[i],
-                            tc,
-                            &mut self.scratch,
-                        )?;
-                        let c = rd(cond, tc, &self.scratch).as_bool();
-                        exec.counters.int_ops += 1;
-                        if c {
-                            self.tm[i] = true;
+                    let c = lay.off(cond);
+                    for &l in &self.lanes {
+                        let l = l as usize;
+                        if self.regs[c + l].as_bool() {
+                            self.tm[l] = true;
                             any_then = true;
                         } else {
-                            self.em[i] = true;
+                            self.em[l] = true;
                         }
                     }
+                    exec.counters.int_ops += self.lanes.len() as u64;
+                    self.finish_row()?;
                     exec.flush_accesses();
                     if has_else {
                         self.else_masks.extend_from_slice(&self.em);
@@ -1760,71 +1997,38 @@ impl Vm<'_> {
                     self.masks.truncate(self.masks.len() - n);
                     pc += 1;
                 }
-                RowOp::ForInit {
-                    start,
-                    len,
-                    src,
-                    cell,
-                } => {
+                RowOp::ForInit { prog, src, cell } => {
                     exec.counters.lockstep_rows += 1;
-                    let code = &self.prog.code[start as usize..(start + len) as usize];
-                    let top = self.masks.len() - n;
-                    for i in 0..n {
-                        if !self.masks[top + i] || self.threads[i].returned {
-                            continue;
-                        }
-                        let tc = &mut self.cells[i * ncells..(i + 1) * ncells];
-                        run_prog(
-                            code,
-                            &self.prog.errors,
-                            exec,
-                            group,
-                            &mut self.threads[i],
-                            tc,
-                            &mut self.scratch,
-                        )?;
-                        let v = rd(src, tc, &self.scratch);
-                        tc[cell as usize] = v;
+                    self.gather();
+                    self.run_row(exec, group, prog);
+                    let (s, d) = (lay.off(src), cell as usize * n);
+                    for &l in &self.lanes {
+                        self.regs[d + l as usize] = self.regs[s + l as usize];
                     }
+                    self.finish_row()?;
                     exec.flush_accesses();
                     pc += 1;
                 }
-                RowOp::ForHead {
-                    start,
-                    len,
-                    cond,
-                    end_pc,
-                } => {
+                RowOp::ForHead { prog, cond, end_pc } => {
                     // One row per round: the group-wide condition check.
                     exec.counters.lockstep_rows += 1;
-                    let code = &self.prog.code[start as usize..(start + len) as usize];
-                    let top = self.masks.len() - n;
+                    self.gather();
+                    self.run_row(exec, group, prog);
                     self.tm.fill(false);
-                    let mut any = false;
-                    for i in 0..n {
-                        if !self.masks[top + i] || self.threads[i].returned {
-                            continue;
-                        }
-                        let tc = &mut self.cells[i * ncells..(i + 1) * ncells];
-                        run_prog(
-                            code,
-                            &self.prog.errors,
-                            exec,
-                            group,
-                            &mut self.threads[i],
-                            tc,
-                            &mut self.scratch,
-                        )?;
-                        let c = rd(cond, tc, &self.scratch).as_bool();
-                        exec.counters.int_ops += 1;
-                        if c {
-                            self.tm[i] = true;
-                            any = true;
-                            exec.counters.loop_iterations += 1;
+                    let mut taken = 0;
+                    let c = lay.off(cond);
+                    for &l in &self.lanes {
+                        let l = l as usize;
+                        if self.regs[c + l].as_bool() {
+                            self.tm[l] = true;
+                            taken += 1;
                         }
                     }
+                    exec.counters.int_ops += self.lanes.len() as u64;
+                    exec.counters.loop_iterations += taken;
+                    self.finish_row()?;
                     exec.flush_accesses();
-                    if any {
+                    if taken > 0 {
                         self.masks.extend_from_slice(&self.tm);
                         pc += 1;
                     } else {
@@ -1832,39 +2036,29 @@ impl Vm<'_> {
                     }
                 }
                 RowOp::ForStep {
-                    start,
-                    len,
+                    prog,
                     src,
                     cell,
                     slot,
                     head_pc,
                 } => {
-                    let code = &self.prog.code[start as usize..(start + len) as usize];
-                    let top = self.masks.len() - n;
-                    for i in 0..n {
-                        if !self.masks[top + i] || self.threads[i].returned {
-                            continue;
-                        }
-                        let tc = &mut self.cells[i * ncells..(i + 1) * ncells];
-                        run_prog(
-                            code,
-                            &self.prog.errors,
-                            exec,
-                            group,
-                            &mut self.threads[i],
-                            tc,
-                            &mut self.scratch,
-                        )?;
-                        let cur = tc[cell as usize];
+                    self.gather();
+                    self.run_row(exec, group, prog);
+                    let (s, d) = (lay.off(src), cell as usize * n);
+                    for &l in &self.lanes {
+                        let l = l as usize;
+                        let cur = self.regs[d + l];
                         if matches!(cur, V::None) {
+                            // This lane precedes any lane that failed in the program.
+                            self.failure = None;
                             return Err(VgpuError::UnknownVariable(
                                 exec.names[slot as usize].clone(),
                             ));
                         }
-                        let next = V::Int(cur.as_i64() + rd(src, tc, &self.scratch).as_i64());
-                        exec.counters.int_ops += 1;
-                        tc[cell as usize] = next;
+                        self.regs[d + l] = V::Int(cur.as_i64() + self.regs[s + l].as_i64());
                     }
+                    exec.counters.int_ops += self.lanes.len() as u64;
+                    self.finish_row()?;
                     self.masks.truncate(self.masks.len() - n);
                     exec.flush_accesses();
                     pc = head_pc;
@@ -1877,242 +2071,434 @@ impl Vm<'_> {
         }
         Ok(())
     }
+
+    /// Runs one row program over `lanes`, op by op. Lanes split at `Jz`/`Jmp` and rejoin
+    /// at the (forward) target; a failing lane is dropped with every lane above it.
+    #[allow(clippy::too_many_lines)]
+    fn exec_prog(&mut self, exec: &mut Exec, group: &mut Group, code: &[EOp]) {
+        let lay = self.lay;
+        let prog = self.prog;
+        let errors = &prog.errors;
+        let mut pc = 0u32;
+        loop {
+            if !self.pending.is_empty() {
+                self.rejoin(pc);
+            }
+            if self.lanes.is_empty() {
+                match self.pending.iter().map(|(t, _)| *t).min() {
+                    Some(target) => {
+                        pc = target;
+                        continue;
+                    }
+                    None => return,
+                }
+            }
+            let Some(&op) = code.get(pc as usize) else {
+                return;
+            };
+            let active = self.lanes.len() as u64;
+            match op {
+                EOp::Mov { dst, src } => {
+                    let (d, s) = (lay.off(dst), lay.off(src));
+                    for &l in &self.lanes {
+                        let l = l as usize;
+                        self.regs[d + l] = self.regs[s + l];
+                    }
+                }
+                EOp::SlotChk { cell, slot } => {
+                    let c = cell as usize * lay.n;
+                    let regs = &self.regs;
+                    if let Some(pos) = self
+                        .lanes
+                        .iter()
+                        .position(|&l| matches!(regs[c + l as usize], V::None))
+                    {
+                        let err = VgpuError::UnknownVariable(exec.names[slot as usize].clone());
+                        self.fail_at(pos, err);
+                    }
+                }
+                EOp::IdxOf { dst, src } | EOp::CastInt { dst, src } => {
+                    let (d, s) = (lay.off(dst), lay.off(src));
+                    for &l in &self.lanes {
+                        let l = l as usize;
+                        self.regs[d + l] = V::Int(self.regs[s + l].as_i64());
+                    }
+                }
+                EOp::Bin { op, dst, a, b } => {
+                    let (d, a, b) = (lay.off(dst), lay.off(a), lay.off(b));
+                    if self.lanes.len() == lay.n && self.dense_float_bin(op, d, a, b) {
+                        *float_bin_counter(&mut exec.counters, op) += active;
+                    } else {
+                        self.bin_lanes(&mut exec.counters, op, d, a, b);
+                    }
+                }
+                EOp::Neg { dst, src } => {
+                    exec.counters.flops += active;
+                    let (d, s) = (lay.off(dst), lay.off(src));
+                    for &l in &self.lanes {
+                        let l = l as usize;
+                        self.regs[d + l] = match self.regs[s + l] {
+                            V::Int(i) => V::Int(-i),
+                            other => V::Float(-other.as_f64()),
+                        };
+                    }
+                }
+                EOp::Not { dst, src } => {
+                    exec.counters.int_ops += active;
+                    let (d, s) = (lay.off(dst), lay.off(src));
+                    for &l in &self.lanes {
+                        let l = l as usize;
+                        self.regs[d + l] = V::Bool(!self.regs[s + l].as_bool());
+                    }
+                }
+                EOp::WorkItem { kind, dst, dim } => {
+                    let (d, s) = (lay.off(dst), lay.off(dim));
+                    let groups = exec.config.num_groups();
+                    for &l in &self.lanes {
+                        let l = l as usize;
+                        let k = self.regs[s + l].as_i64() as usize;
+                        let t = &self.threads[l];
+                        let v = match kind {
+                            WorkItemFn::GlobalId => t.gid[k],
+                            WorkItemFn::LocalId => t.lid[k],
+                            WorkItemFn::GroupId => group.id[k],
+                            WorkItemFn::GlobalSize => exec.config.global[k],
+                            WorkItemFn::LocalSize => exec.config.local[k],
+                            WorkItemFn::NumGroups => groups[k],
+                        };
+                        self.regs[d + l] = V::Int(v as i64);
+                    }
+                }
+                EOp::Math1 { kind, dst, src } => {
+                    exec.counters.flops += 4 * active;
+                    let (d, s) = (lay.off(dst), lay.off(src));
+                    for &l in &self.lanes {
+                        let l = l as usize;
+                        let v = self.regs[s + l].as_f64();
+                        let out = match kind {
+                            Math1::Sqrt => v.sqrt(),
+                            Math1::Rsqrt => 1.0 / v.sqrt(),
+                            Math1::Fabs => v.abs(),
+                            Math1::Exp => v.exp(),
+                            Math1::Log => v.ln(),
+                            Math1::Floor => v.floor(),
+                        };
+                        self.regs[d + l] = V::Float(out);
+                    }
+                }
+                EOp::Math2 { kind, dst, a, b } => {
+                    exec.counters.flops += active;
+                    let (d, a, b) = (lay.off(dst), lay.off(a), lay.off(b));
+                    for &l in &self.lanes {
+                        let l = l as usize;
+                        let (x, y) = (self.regs[a + l].as_f64(), self.regs[b + l].as_f64());
+                        self.regs[d + l] = V::Float(match kind {
+                            Math2::Min => x.min(y),
+                            Math2::Max => x.max(y),
+                        });
+                    }
+                }
+                EOp::Mad { dst, a, b, c } => {
+                    exec.counters.flops += 2 * active;
+                    let (d, a, b, c) = (lay.off(dst), lay.off(a), lay.off(b), lay.off(c));
+                    for &l in &self.lanes {
+                        let l = l as usize;
+                        let x = self.regs[a + l].as_f64();
+                        let y = self.regs[b + l].as_f64();
+                        let z = self.regs[c + l].as_f64();
+                        self.regs[d + l] = V::Float(x * y + z);
+                    }
+                }
+                EOp::CastFloat { dst, src } => {
+                    let (d, s) = (lay.off(dst), lay.off(src));
+                    for &l in &self.lanes {
+                        let l = l as usize;
+                        self.regs[d + l] = V::Float(self.regs[s + l].as_f64());
+                    }
+                }
+                EOp::CastBool { dst, src } => {
+                    let (d, s) = (lay.off(dst), lay.off(src));
+                    for &l in &self.lanes {
+                        let l = l as usize;
+                        self.regs[d + l] = V::Bool(self.regs[s + l].as_bool());
+                    }
+                }
+                EOp::Charge {
+                    int_ops,
+                    div_mod_ops,
+                    vector_accesses,
+                } => {
+                    exec.counters.int_ops += u64::from(int_ops) * active;
+                    exec.counters.div_mod_ops += u64::from(div_mod_ops) * active;
+                    exec.counters.vector_accesses += u64::from(vector_accesses) * active;
+                }
+                EOp::ZChk { src } => {
+                    let s = lay.off(src);
+                    let regs = &self.regs;
+                    if let Some(pos) = self
+                        .lanes
+                        .iter()
+                        .position(|&l| regs[s + l as usize].as_i64() == 0)
+                    {
+                        self.fail_at(pos, VgpuError::DivisionByZero);
+                    }
+                }
+                EOp::RAdd { dst, a, b } => self.index_op(lay, dst, a, b, |x, y| x + y),
+                EOp::RMul { dst, a, b } => self.index_op(lay, dst, a, b, |x, y| x * y),
+                EOp::RDivE { dst, a, b } => self.index_op(lay, dst, a, b, i64::div_euclid),
+                EOp::RRemE { dst, a, b } => self.index_op(lay, dst, a, b, i64::rem_euclid),
+                EOp::RMin { dst, a, b } => self.index_op(lay, dst, a, b, i64::min),
+                EOp::RMax { dst, a, b } => self.index_op(lay, dst, a, b, i64::max),
+                EOp::RPow { dst, src, e } => {
+                    let (d, s) = (lay.off(dst), lay.off(src));
+                    for &l in &self.lanes {
+                        let l = l as usize;
+                        self.regs[d + l] = V::Int(self.regs[s + l].as_i64().pow(e));
+                    }
+                }
+                EOp::PtrChk { src, err } => {
+                    let s = lay.off(src);
+                    let regs = &self.regs;
+                    if let Some(pos) = self
+                        .lanes
+                        .iter()
+                        .position(|&l| regs[s + l as usize].as_ptr().is_none())
+                    {
+                        self.fail_at(pos, errors[err as usize].clone());
+                    }
+                }
+                EOp::Load { dst, ptr, idx } => self.load(exec, group, dst, ptr, idx, 1, 0),
+                EOp::LoadLane {
+                    dst,
+                    ptr,
+                    idx,
+                    width,
+                    lane,
+                } => self.load(exec, group, dst, ptr, idx, width, lane),
+                EOp::StoreChk { ptr, idx, val, err } => {
+                    self.store(
+                        exec,
+                        group,
+                        ptr,
+                        idx,
+                        val,
+                        1,
+                        0,
+                        Some(&errors[err as usize]),
+                    );
+                }
+                EOp::StoreLane {
+                    ptr,
+                    idx,
+                    val,
+                    width,
+                    lane,
+                } => self.store(exec, group, ptr, idx, val, width, lane, None),
+                EOp::Jz { cond, target } => {
+                    let c = lay.off(cond);
+                    let mut parked = self.take_spare();
+                    let regs = &self.regs;
+                    self.lanes.retain(|&l| {
+                        let taken = regs[c + l as usize].as_bool();
+                        if !taken {
+                            parked.push(l);
+                        }
+                        taken
+                    });
+                    self.park(target, parked);
+                }
+                EOp::Jmp { target } => {
+                    let none = self.take_spare();
+                    let parked = std::mem::replace(&mut self.lanes, none);
+                    self.park(target, parked);
+                }
+                EOp::Fail { err } => self.fail_at(0, errors[err as usize].clone()),
+            }
+            pc += 1;
+        }
+    }
+
+    /// [`bin`] lane by lane. Two floats take the common path inline.
+    fn bin_lanes(&mut self, counters: &mut CostCounters, op: CBinOp, d: usize, a: usize, b: usize) {
+        let mut float_lanes = 0;
+        let mut failed = None;
+        for (pos, &l) in self.lanes.iter().enumerate() {
+            let l = l as usize;
+            self.regs[d + l] = match (self.regs[a + l], self.regs[b + l]) {
+                (V::Float(x), V::Float(y)) => {
+                    float_lanes += 1;
+                    float_bin(op, x, y)
+                }
+                (x, y) => match bin(counters, op, x, y) {
+                    Ok(v) => v,
+                    Err(e) => {
+                        failed = Some((pos, e));
+                        break;
+                    }
+                },
+            };
+        }
+        *float_bin_counter(counters, op) += float_lanes;
+        if let Some((pos, e)) = failed {
+            self.fail_at(pos, e);
+        }
+    }
+
+    /// [`float_bin`] over every lane at once, if all lanes hold two floats (else nothing
+    /// happens and it returns false).
+    fn dense_float_bin(&mut self, op: CBinOp, d: usize, a: usize, b: usize) -> bool {
+        let n = self.lay.n;
+        let (xs, ys) = (&self.regs[a..a + n], &self.regs[b..b + n]);
+        if !xs
+            .iter()
+            .zip(ys)
+            .all(|p| matches!(p, (V::Float(_), V::Float(_))))
+        {
+            return false;
+        }
+        self.out.resize(n, V::None);
+        match op {
+            CBinOp::Add => zip_floats(&mut self.out, xs, ys, |x, y| V::Float(x + y)),
+            CBinOp::Sub => zip_floats(&mut self.out, xs, ys, |x, y| V::Float(x - y)),
+            CBinOp::Mul => zip_floats(&mut self.out, xs, ys, |x, y| V::Float(x * y)),
+            CBinOp::Div => zip_floats(&mut self.out, xs, ys, |x, y| V::Float(x / y)),
+            _ => zip_floats(&mut self.out, xs, ys, |x, y| float_bin(op, x, y)),
+        }
+        self.regs[d..d + n].copy_from_slice(&self.out);
+        true
+    }
+
+    /// A fused index op over `i64` registers.
+    #[inline(always)]
+    fn index_op(&mut self, lay: Layout, dst: u32, a: u32, b: u32, f: impl Fn(i64, i64) -> i64) {
+        let (d, a, b) = (lay.off(dst), lay.off(a), lay.off(b));
+        for &l in &self.lanes {
+            let l = l as usize;
+            self.regs[d + l] = V::Int(f(self.regs[a + l].as_i64(), self.regs[b + l].as_i64()));
+        }
+    }
+
+    /// Loads element `idx * scale + lane` through [`Exec::load`] for every lane; `scale` is
+    /// the vector width (1 for a scalar load).
+    #[allow(clippy::too_many_arguments)]
+    fn load(
+        &mut self,
+        exec: &mut Exec,
+        group: &mut Group,
+        dst: u32,
+        ptr: u32,
+        idx: u32,
+        scale: u32,
+        lane: u32,
+    ) {
+        let (d, p, i) = (self.lay.off(dst), self.lay.off(ptr), self.lay.off(idx));
+        let mut failed = None;
+        for (pos, &l) in self.lanes.iter().enumerate() {
+            let l = l as usize;
+            let ptr = self.regs[p + l]
+                .as_ptr()
+                .expect("pointer verified by PtrChk")
+                .unpack();
+            let at = self.regs[i + l].as_i64() * i64::from(scale) + i64::from(lane);
+            match exec.load(ptr, at, group, &self.threads[l], scale as usize) {
+                Ok(v) => self.regs[d + l] = V::Float(v.as_f64()),
+                Err(e) => {
+                    failed = Some((pos, e));
+                    break;
+                }
+            }
+        }
+        if let Some((pos, e)) = failed {
+            self.fail_at(pos, e);
+        }
+    }
+
+    /// Stores `val` to element `idx * scale + lane` through [`Exec::store`] for every lane,
+    /// in lane order. With `scalar_check`, a lane whose value is not a scalar fails with
+    /// that error instead of storing.
+    #[allow(clippy::too_many_arguments)]
+    fn store(
+        &mut self,
+        exec: &mut Exec,
+        group: &mut Group,
+        ptr: u32,
+        idx: u32,
+        val: u32,
+        scale: u32,
+        lane: u32,
+        scalar_check: Option<&VgpuError>,
+    ) {
+        let (p, i, v) = (self.lay.off(ptr), self.lay.off(idx), self.lay.off(val));
+        let mut failed = None;
+        for (pos, &l) in self.lanes.iter().enumerate() {
+            let l = l as usize;
+            let ptr = self.regs[p + l]
+                .as_ptr()
+                .expect("pointer verified by PtrChk")
+                .unpack();
+            let at = self.regs[i + l].as_i64() * i64::from(scale) + i64::from(lane);
+            let value = self.regs[v + l];
+            if let Some(err) = scalar_check {
+                if !matches!(value, V::Float(_) | V::Int(_) | V::Bool(_)) {
+                    failed = Some((pos, err.clone()));
+                    break;
+                }
+            }
+            let value = value.as_f64();
+            if let Err(e) = exec.store(ptr, at, value, group, &mut self.threads[l], scale as usize)
+            {
+                failed = Some((pos, e));
+                break;
+            }
+        }
+        if let Some((pos, e)) = failed {
+            self.fail_at(pos, e);
+        }
+    }
 }
 
-/// Executes one row program for one work item.
-#[allow(clippy::too_many_lines)]
-fn run_prog(
-    code: &[EOp],
-    errors: &[VgpuError],
-    exec: &mut Exec,
-    group: &mut Group,
-    thread: &mut Thread,
-    cells: &mut [V],
-    scratch: &mut [V],
-) -> Result<(), VgpuError> {
-    let mut pc = 0usize;
-    while pc < code.len() {
-        match code[pc] {
-            EOp::IntC { dst, v } => scratch[dst as usize] = V::Int(v),
-            EOp::FloatC { dst, v } => scratch[dst as usize] = V::Float(v),
-            EOp::BoolC { dst, v } => scratch[dst as usize] = V::Bool(v),
-            EOp::Mov { dst, src } => scratch[dst as usize] = rd(src, cells, scratch),
-            EOp::SlotChk { cell, slot } => {
-                if matches!(cells[cell as usize], V::None) {
-                    return Err(VgpuError::UnknownVariable(
-                        exec.names[slot as usize].clone(),
-                    ));
-                }
-            }
-            EOp::IdxOf { dst, src } => {
-                scratch[dst as usize] = V::Int(rd(src, cells, scratch).as_i64());
-            }
-            EOp::Bin { op, dst, a, b } => {
-                let va = rd(a, cells, scratch);
-                let vb = rd(b, cells, scratch);
-                scratch[dst as usize] = bin(exec, op, va, vb)?;
-            }
-            EOp::Neg { dst, src } => {
-                exec.counters.flops += 1;
-                scratch[dst as usize] = match rd(src, cells, scratch) {
-                    V::Int(i) => V::Int(-i),
-                    other => V::Float(-other.as_f64()),
-                };
-            }
-            EOp::Not { dst, src } => {
-                exec.counters.int_ops += 1;
-                scratch[dst as usize] = V::Bool(!rd(src, cells, scratch).as_bool());
-            }
-            EOp::WorkItem { kind, dst, dim } => {
-                let d = rd(dim, cells, scratch).as_i64() as usize;
-                let v = match kind {
-                    WorkItemFn::GlobalId => thread.gid[d],
-                    WorkItemFn::LocalId => thread.lid[d],
-                    WorkItemFn::GroupId => group.id[d],
-                    WorkItemFn::GlobalSize => exec.config.global[d],
-                    WorkItemFn::LocalSize => exec.config.local[d],
-                    WorkItemFn::NumGroups => exec.config.num_groups()[d],
-                };
-                scratch[dst as usize] = V::Int(v as i64);
-            }
-            EOp::Math1 { kind, dst, src } => {
-                let v = rd(src, cells, scratch).as_f64();
-                exec.counters.flops += 4;
-                let out = match kind {
-                    Math1::Sqrt => v.sqrt(),
-                    Math1::Rsqrt => 1.0 / v.sqrt(),
-                    Math1::Fabs => v.abs(),
-                    Math1::Exp => v.exp(),
-                    Math1::Log => v.ln(),
-                    Math1::Floor => v.floor(),
-                };
-                scratch[dst as usize] = V::Float(out);
-            }
-            EOp::Math2 { kind, dst, a, b } => {
-                let x = rd(a, cells, scratch).as_f64();
-                let y = rd(b, cells, scratch).as_f64();
-                exec.counters.flops += 1;
-                let out = match kind {
-                    Math2::Min => x.min(y),
-                    Math2::Max => x.max(y),
-                };
-                scratch[dst as usize] = V::Float(out);
-            }
-            EOp::Mad { dst, a, b, c } => {
-                let x = rd(a, cells, scratch).as_f64();
-                let y = rd(b, cells, scratch).as_f64();
-                let z = rd(c, cells, scratch).as_f64();
-                exec.counters.flops += 2;
-                scratch[dst as usize] = V::Float(x * y + z);
-            }
-            EOp::CastInt { dst, src } => {
-                scratch[dst as usize] = V::Int(rd(src, cells, scratch).as_i64());
-            }
-            EOp::CastFloat { dst, src } => {
-                scratch[dst as usize] = V::Float(rd(src, cells, scratch).as_f64());
-            }
-            EOp::CastBool { dst, src } => {
-                scratch[dst as usize] = V::Bool(rd(src, cells, scratch).as_bool());
-            }
-            EOp::ChargeInt { n } => exec.counters.int_ops += n,
-            EOp::ChargeDivMod => exec.counters.div_mod_ops += 1,
-            EOp::ChargeVec { width } => exec.counters.vector_accesses += width,
-            EOp::ZChk { src } => {
-                if rd(src, cells, scratch).as_i64() == 0 {
-                    return Err(VgpuError::DivisionByZero);
-                }
-            }
-            EOp::RAdd { dst, a, b } => {
-                scratch[dst as usize] =
-                    V::Int(rd(a, cells, scratch).as_i64() + rd(b, cells, scratch).as_i64());
-            }
-            EOp::RMul { dst, a, b } => {
-                scratch[dst as usize] =
-                    V::Int(rd(a, cells, scratch).as_i64() * rd(b, cells, scratch).as_i64());
-            }
-            EOp::RDivE { dst, a, b } => {
-                scratch[dst as usize] = V::Int(
-                    rd(a, cells, scratch)
-                        .as_i64()
-                        .div_euclid(rd(b, cells, scratch).as_i64()),
-                );
-            }
-            EOp::RRemE { dst, a, b } => {
-                scratch[dst as usize] = V::Int(
-                    rd(a, cells, scratch)
-                        .as_i64()
-                        .rem_euclid(rd(b, cells, scratch).as_i64()),
-                );
-            }
-            EOp::RPow { dst, src, e } => {
-                scratch[dst as usize] = V::Int(rd(src, cells, scratch).as_i64().pow(e));
-            }
-            EOp::RMin { dst, a, b } => {
-                scratch[dst as usize] = V::Int(
-                    rd(a, cells, scratch)
-                        .as_i64()
-                        .min(rd(b, cells, scratch).as_i64()),
-                );
-            }
-            EOp::RMax { dst, a, b } => {
-                scratch[dst as usize] = V::Int(
-                    rd(a, cells, scratch)
-                        .as_i64()
-                        .max(rd(b, cells, scratch).as_i64()),
-                );
-            }
-            EOp::PtrChk { src, err } => {
-                if rd(src, cells, scratch).as_ptr().is_none() {
-                    return Err(errors[err as usize].clone());
-                }
-            }
-            EOp::Load { dst, ptr, idx } => {
-                let p = rd(ptr, cells, scratch)
-                    .as_ptr()
-                    .expect("pointer verified by PtrChk");
-                let i = rd(idx, cells, scratch).as_i64();
-                let v = exec.load(p, i, group, thread, 1)?;
-                scratch[dst as usize] = V::Float(v.as_f64());
-            }
-            EOp::LoadLane {
-                dst,
-                ptr,
-                idx,
-                width,
-                lane,
-            } => {
-                let p = rd(ptr, cells, scratch)
-                    .as_ptr()
-                    .expect("pointer verified by PtrChk");
-                let i = rd(idx, cells, scratch).as_i64();
-                let v = exec.load(
-                    p,
-                    i * i64::from(width) + i64::from(lane),
-                    group,
-                    thread,
-                    width as usize,
-                )?;
-                scratch[dst as usize] = V::Float(v.as_f64());
-            }
-            EOp::StoreChk { ptr, idx, val, err } => {
-                let v = rd(val, cells, scratch);
-                if !matches!(v, V::Float(_) | V::Int(_) | V::Bool(_)) {
-                    return Err(errors[err as usize].clone());
-                }
-                let p = rd(ptr, cells, scratch)
-                    .as_ptr()
-                    .expect("pointer verified by PtrChk");
-                let i = rd(idx, cells, scratch).as_i64();
-                exec.store(p, i, v.as_f64(), group, thread, 1)?;
-            }
-            EOp::StoreLane {
-                ptr,
-                idx,
-                val,
-                width,
-                lane,
-            } => {
-                let p = rd(ptr, cells, scratch)
-                    .as_ptr()
-                    .expect("pointer verified by PtrChk");
-                let i = rd(idx, cells, scratch).as_i64();
-                let v = rd(val, cells, scratch).as_f64();
-                exec.store(
-                    p,
-                    i * i64::from(width) + i64::from(lane),
-                    v,
-                    group,
-                    thread,
-                    width as usize,
-                )?;
-            }
-            EOp::Jz { cond, target } => {
-                if !rd(cond, cells, scratch).as_bool() {
-                    pc = target as usize;
-                    continue;
-                }
-            }
-            EOp::Jmp { target } => {
-                pc = target as usize;
-                continue;
-            }
-            EOp::Fail { err } => return Err(errors[err as usize].clone()),
+/// `out[l] = f(xs[l], ys[l])` for lanes holding floats.
+#[inline(always)]
+fn zip_floats(out: &mut [V], xs: &[V], ys: &[V], f: impl Fn(f64, f64) -> V) {
+    for (o, (x, y)) in out.iter_mut().zip(xs.iter().zip(ys)) {
+        if let (V::Float(x), V::Float(y)) = (*x, *y) {
+            *o = f(x, y);
         }
-        pc += 1;
     }
-    Ok(())
+}
+
+/// [`bin`] on two floats, without the charge (see [`float_bin_counter`]).
+#[inline(always)]
+fn float_bin(op: CBinOp, x: f64, y: f64) -> V {
+    match op {
+        CBinOp::Add => V::Float(x + y),
+        CBinOp::Sub => V::Float(x - y),
+        CBinOp::Mul => V::Float(x * y),
+        CBinOp::Div => V::Float(x / y),
+        CBinOp::Mod => V::Float(x % y),
+        _ => V::Bool(compare(op, x, y)),
+    }
+}
+
+/// The counter [`bin`] charges for `op` on two floats.
+fn float_bin_counter(counters: &mut CostCounters, op: CBinOp) -> &mut u64 {
+    match op {
+        CBinOp::Add | CBinOp::Sub | CBinOp::Mul | CBinOp::Div => &mut counters.flops,
+        CBinOp::Mod => &mut counters.div_mod_ops,
+        _ => &mut counters.int_ops,
+    }
 }
 
 /// The interpreter's `eval_bin` over scalar runtime values, charging by the dynamic path:
 /// pointer arithmetic/comparison, integer ops, then mixed/floating point.
-fn bin(exec: &mut Exec, op: CBinOp, a: V, b: V) -> Result<V, VgpuError> {
+fn bin(counters: &mut CostCounters, op: CBinOp, a: V, b: V) -> Result<V, VgpuError> {
     if let V::Ptr(p) = a {
         return Ok(match op {
-            CBinOp::Add => V::Ptr(Ptr {
+            CBinOp::Add => V::Ptr(CPtr {
                 offset: p.offset + b.as_i64(),
                 ..p
             }),
-            CBinOp::Sub => V::Ptr(Ptr {
+            CBinOp::Sub => V::Ptr(CPtr {
                 offset: p.offset - b.as_i64(),
                 ..p
             }),
@@ -2124,7 +2510,7 @@ fn bin(exec: &mut Exec, op: CBinOp, a: V, b: V) -> Result<V, VgpuError> {
     if let (V::Int(x), V::Int(y)) = (a, b) {
         return Ok(match op {
             CBinOp::Add | CBinOp::Sub | CBinOp::Mul => {
-                exec.counters.int_ops += 1;
+                counters.int_ops += 1;
                 V::Int(match op {
                     CBinOp::Add => x + y,
                     CBinOp::Sub => x - y,
@@ -2132,7 +2518,7 @@ fn bin(exec: &mut Exec, op: CBinOp, a: V, b: V) -> Result<V, VgpuError> {
                 })
             }
             CBinOp::Div | CBinOp::Mod => {
-                exec.counters.div_mod_ops += 1;
+                counters.div_mod_ops += 1;
                 if y == 0 {
                     return Err(VgpuError::DivisionByZero);
                 }
@@ -2143,7 +2529,7 @@ fn bin(exec: &mut Exec, op: CBinOp, a: V, b: V) -> Result<V, VgpuError> {
                 })
             }
             _ => {
-                exec.counters.int_ops += 1;
+                counters.int_ops += 1;
                 V::Bool(compare(op, x as f64, y as f64))
             }
         });
@@ -2151,7 +2537,7 @@ fn bin(exec: &mut Exec, op: CBinOp, a: V, b: V) -> Result<V, VgpuError> {
     let (x, y) = (a.as_f64(), b.as_f64());
     Ok(match op {
         CBinOp::Add | CBinOp::Sub | CBinOp::Mul | CBinOp::Div => {
-            exec.counters.flops += 1;
+            counters.flops += 1;
             V::Float(match op {
                 CBinOp::Add => x + y,
                 CBinOp::Sub => x - y,
@@ -2160,11 +2546,11 @@ fn bin(exec: &mut Exec, op: CBinOp, a: V, b: V) -> Result<V, VgpuError> {
             })
         }
         CBinOp::Mod => {
-            exec.counters.div_mod_ops += 1;
+            counters.div_mod_ops += 1;
             V::Float(x % y)
         }
         _ => {
-            exec.counters.int_ops += 1;
+            counters.int_ops += 1;
             V::Bool(compare(op, x, y))
         }
     })

@@ -112,11 +112,12 @@ pub enum VgpuError {
     },
     /// Two work items touched the same memory cell without a synchronising barrier between
     /// the accesses, and at least one access was a write of a differing value. Reported only
-    /// under [`VirtualGpu::with_race_detection`] — the shadow-memory detector records the
-    /// last writer and reader of every local and global cell together with the barrier
-    /// epoch of the access, and flags write-write and read-write pairs from different work
-    /// items in the same epoch (or, for global buffers, from different work groups, which
-    /// no barrier can ever order within a launch).
+    /// with race detection on ([`crate::ExecutionRequest::race_detection`]) — the
+    /// shadow-memory detector records the last writer and reader of every local and global
+    /// cell together with the barrier epoch of the access, and flags write-write and
+    /// read-write pairs from different work items in the same epoch (or, for global
+    /// buffers, from different work groups, which no barrier can ever order within a
+    /// launch).
     DataRace {
         /// Name of the racy buffer (the kernel parameter or `__local` declaration).
         buffer: String,
@@ -251,144 +252,6 @@ impl SequenceResult {
     }
 }
 
-/// The virtual GPU.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct VirtualGpu {
-    detect_races: bool,
-}
-
-impl VirtualGpu {
-    /// Creates a virtual GPU with the data-race detector off (the default — detection costs
-    /// one shadow cell per buffer element and a check per memory access).
-    pub fn new() -> VirtualGpu {
-        VirtualGpu {
-            detect_races: false,
-        }
-    }
-
-    /// Creates a virtual GPU with the shadow-memory data-race detector on: every launch
-    /// tracks the last writer and reader of each local and global cell per barrier epoch and
-    /// fails with [`VgpuError::DataRace`] on unsynchronised conflicting accesses. Stores of
-    /// a bitwise-identical value are treated as no-ops, so redundant group-uniform writes
-    /// (every work item storing the same staged value) do not flag.
-    ///
-    /// Shadow state is per launch: a kernel-sequence stage starts clean, mirroring the
-    /// device-wide synchronisation a kernel boundary provides.
-    #[deprecated(
-        since = "0.8.0",
-        note = "use `ExecutionRequest::new(module).race_detection(true)` instead"
-    )]
-    pub fn with_race_detection() -> VirtualGpu {
-        VirtualGpu { detect_races: true }
-    }
-
-    /// Whether launches on this virtual GPU run the data-race detector.
-    pub fn race_detection(&self) -> bool {
-        self.detect_races
-    }
-
-    /// Launches `kernel_name` from `module` like [`VirtualGpu::launch`], after checking that
-    /// `config` respects the limits of `device` (work-group size, per-dimension local sizes,
-    /// divisibility). A launch a real driver would refuse is rejected with
-    /// [`VgpuError::InvalidLaunch`] instead of silently executing with cost counters that
-    /// describe a machine without occupancy limits.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`VgpuError::InvalidLaunch`] for configurations that violate the device, and
-    /// any [`VgpuError`] of [`VirtualGpu::launch`] otherwise.
-    #[deprecated(
-        since = "0.8.0",
-        note = "use `ExecutionRequest::new(module).on_device(device).launch(..)` instead"
-    )]
-    pub fn launch_on(
-        &self,
-        device: &DeviceProfile,
-        module: &Module,
-        kernel_name: &str,
-        config: LaunchConfig,
-        args: Vec<KernelArg>,
-    ) -> Result<LaunchResult, VgpuError> {
-        crate::engine::ExecutionRequest::new(module)
-            .on_device(device)
-            .race_detection(self.detect_races)
-            .launch(kernel_name, config, args)
-    }
-
-    /// Executes a sequence of kernels against a persistent pool of arguments.
-    ///
-    /// Every stage receives the *whole* pool in order (the shared-signature ABI of
-    /// multi-kernel programs: unused parameters are harmless), and the buffers a stage
-    /// modifies are visible to the following stages — this is how global-memory
-    /// intermediates flow across the device-wide synchronisation points a kernel boundary
-    /// represents.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first stage's [`VgpuError`], if any.
-    #[deprecated(
-        since = "0.8.0",
-        note = "use `ExecutionRequest::new(module).launch_sequence(..)` instead"
-    )]
-    pub fn launch_sequence(
-        &self,
-        module: &Module,
-        stages: &[KernelLaunchSpec],
-        pool: Vec<KernelArg>,
-    ) -> Result<SequenceResult, VgpuError> {
-        crate::engine::ExecutionRequest::new(module)
-            .race_detection(self.detect_races)
-            .launch_sequence(stages, pool)
-    }
-
-    /// Like [`VirtualGpu::launch_sequence`], after validating every stage's launch against
-    /// the limits of `device`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`VgpuError::InvalidLaunch`] if any stage's launch violates the device, and
-    /// any [`VgpuError`] of the execution otherwise.
-    #[deprecated(
-        since = "0.8.0",
-        note = "use `ExecutionRequest::new(module).on_device(device).launch_sequence(..)` \
-                instead"
-    )]
-    pub fn launch_sequence_on(
-        &self,
-        device: &DeviceProfile,
-        module: &Module,
-        stages: &[KernelLaunchSpec],
-        pool: Vec<KernelArg>,
-    ) -> Result<SequenceResult, VgpuError> {
-        crate::engine::ExecutionRequest::new(module)
-            .on_device(device)
-            .race_detection(self.detect_races)
-            .launch_sequence(stages, pool)
-    }
-
-    /// Launches `kernel_name` from `module` over the given ND-range.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`VgpuError`] if the kernel is unknown, the arguments do not match, or the
-    /// kernel performs an invalid memory access.
-    #[deprecated(
-        since = "0.8.0",
-        note = "use `ExecutionRequest::new(module).launch(..)` instead"
-    )]
-    pub fn launch(
-        &self,
-        module: &Module,
-        kernel_name: &str,
-        config: LaunchConfig,
-        args: Vec<KernelArg>,
-    ) -> Result<LaunchResult, VgpuError> {
-        crate::engine::ExecutionRequest::new(module)
-            .race_detection(self.detect_races)
-            .launch(kernel_name, config, args)
-    }
-}
-
 /// A kernel launch lowered to the slot-indexed form with its arguments bound: everything an
 /// execution engine needs to run the kernel body against live state.
 pub(crate) struct Prepared {
@@ -485,10 +348,11 @@ pub(crate) fn prepare(
         functions,
         names,
         counters: CostCounters::default(),
-        access_log: Vec::new(),
         seg_scratch: Vec::new(),
         simd_counts: Vec::new(),
         detect: detect_races,
+        defer_reads: false,
+        deferred_reads: Vec::new(),
         shadow_global,
         global_names,
     };
@@ -886,12 +750,14 @@ impl<'m> Lowerer<'m> {
 
 // --------------------------------------------------------------------------- execution
 
-/// One recorded global-memory access, used for the coalescing analysis.
-struct Access {
-    thread: usize,
+/// A shadow-memory reader update held back while a row runs lane-batched (see
+/// [`Exec::replay_reads`]).
+struct DeferredRead {
+    lane: usize,
+    uid: usize,
+    local: bool,
     buffer: usize,
-    addr: i64,
-    width: usize,
+    slot: usize,
 }
 
 /// One shadow-memory cell of the data-race detector: the last work item that wrote and the
@@ -949,13 +815,17 @@ pub(crate) struct Exec {
     /// slot → name, for error messages.
     pub(crate) names: Vec<String>,
     pub(crate) counters: CostCounters,
-    access_log: Vec<Access>,
-    /// Reused scratch for the coalescing analysis: `(simd group, buffer, segment)` triples.
+    /// The memory segments the global accesses of the current lock-step statement touched,
+    /// as `(simd group, buffer, segment)` triples (with repeats).
     seg_scratch: Vec<(usize, usize, i64)>,
-    /// Reused scratch: access counts per SIMD group.
-    simd_counts: Vec<(usize, usize)>,
+    /// Global accesses of the current lock-step statement, indexed by SIMD group.
+    simd_counts: Vec<usize>,
     /// Whether the shadow-memory data-race detector is on for this launch.
     pub(crate) detect: bool,
+    /// When set, loads record their shadow `reader` update in `deferred_reads` instead of
+    /// applying it.
+    pub(crate) defer_reads: bool,
+    deferred_reads: Vec<DeferredRead>,
     /// Shadow memory per global buffer (parallel to `global`; empty when detection is off).
     shadow_global: Vec<Vec<ShadowCell>>,
     /// Kernel-parameter names of the global buffers, for race diagnostics.
@@ -1647,12 +1517,7 @@ impl Exec {
                         len: buf.len(),
                     })?;
                 self.counters.global_accesses += 1;
-                self.access_log.push(Access {
-                    thread: thread.linear,
-                    buffer: ptr.buffer,
-                    addr,
-                    width: vector_width,
-                });
+                self.record_access(thread.linear, ptr.buffer, addr, vector_width);
                 if self.detect {
                     let me = self.thread_uid(thread);
                     let cell = &mut self.shadow_global[ptr.buffer][slot];
@@ -1668,9 +1533,19 @@ impl Exec {
                             group.epoch,
                         ));
                     }
-                    cell.reader = me;
-                    cell.reader_group = group.linear;
-                    cell.read_epoch = group.epoch;
+                    if self.defer_reads {
+                        self.deferred_reads.push(DeferredRead {
+                            lane: thread.linear,
+                            uid: me,
+                            local: false,
+                            buffer: ptr.buffer,
+                            slot,
+                        });
+                    } else {
+                        cell.reader = me;
+                        cell.reader_group = group.linear;
+                        cell.read_epoch = group.epoch;
+                    }
                 }
                 self.global[ptr.buffer][slot]
             }
@@ -1698,9 +1573,19 @@ impl Exec {
                             group.epoch,
                         ));
                     }
-                    cell.reader = me;
-                    cell.reader_group = group.linear;
-                    cell.read_epoch = group.epoch;
+                    if self.defer_reads {
+                        self.deferred_reads.push(DeferredRead {
+                            lane: thread.linear,
+                            uid: me,
+                            local: true,
+                            buffer: ptr.buffer,
+                            slot,
+                        });
+                    } else {
+                        cell.reader = me;
+                        cell.reader_group = group.linear;
+                        cell.read_epoch = group.epoch;
+                    }
                 }
                 return Ok(GpuValue::Float(f64::from(value)));
             }
@@ -1775,12 +1660,7 @@ impl Exec {
                 let buf = &mut self.global[ptr.buffer];
                 buf[slot] = value as f32;
                 self.counters.global_accesses += 1;
-                self.access_log.push(Access {
-                    thread: thread.linear,
-                    buffer: ptr.buffer,
-                    addr,
-                    width: vector_width,
-                });
+                self.record_access(thread.linear, ptr.buffer, addr, vector_width);
             }
             AddrSpace::Local => {
                 let buf = &mut group.local[ptr.buffer];
@@ -1877,47 +1757,63 @@ impl Exec {
         }
     }
 
+    /// Applies the deferred shadow `reader` updates of a lane-batched row in (lane, op)
+    /// order, the order thread-by-thread execution would have applied them in. Within a row
+    /// without stores no check reads a `reader` field, so deferring them changes nothing
+    /// else.
+    pub(crate) fn replay_reads(&mut self, group: &mut Group) {
+        // A stable sort keeps each lane's reads in program order.
+        self.deferred_reads.sort_by_key(|r| r.lane);
+        for r in self.deferred_reads.drain(..) {
+            let cell = if r.local {
+                &mut group.shadow_local[r.buffer][r.slot]
+            } else {
+                &mut self.shadow_global[r.buffer][r.slot]
+            };
+            cell.reader = r.uid;
+            cell.reader_group = group.linear;
+            cell.read_epoch = group.epoch;
+        }
+    }
+
+    /// Logs a global access of the current lock-step statement for the coalescing analysis.
+    fn record_access(&mut self, thread: usize, buffer: usize, addr: i64, width: usize) {
+        let simd_group = thread / COALESCE_GROUP;
+        // A vector access may straddle two segments; charge both.
+        let first = addr.div_euclid(SEGMENT_ELEMS);
+        let last = (addr + width.max(1) as i64 - 1).div_euclid(SEGMENT_ELEMS);
+        // Neighbouring work items mostly share a segment: skipping repeats of the last entry
+        // keeps the sort in `flush_accesses` short.
+        for seg in [first, last] {
+            let entry = (simd_group, buffer, seg);
+            if self.seg_scratch.last() != Some(&entry) {
+                self.seg_scratch.push(entry);
+            }
+        }
+        if self.simd_counts.len() <= simd_group {
+            self.simd_counts.resize(simd_group + 1, 0);
+        }
+        self.simd_counts[simd_group] += 1;
+    }
+
     /// Groups the global accesses of the last lock-step statement execution into memory
     /// transactions per SIMD group and charges uncoalesced accesses.
     ///
-    /// Runs after every statement execution, so it reuses pre-allocated scratch vectors
-    /// (linear dedup over a handful of distinct segments) instead of building hash
-    /// containers.
+    /// Runs after every statement execution. Sorting the touched segments deduplicates them
+    /// and groups them by SIMD group, so the analysis is one sort plus a linear pass.
     pub(crate) fn flush_accesses(&mut self) {
-        if self.access_log.is_empty() {
+        if self.seg_scratch.is_empty() {
             return;
+        }
+        self.seg_scratch.sort_unstable();
+        self.seg_scratch.dedup();
+        for run in self.seg_scratch.chunk_by(|a, b| a.0 == b.0) {
+            let ideal = self.simd_counts[run[0].0].div_ceil(COALESCE_GROUP).max(1);
+            self.counters.global_transactions += run.len() as u64;
+            self.counters.uncoalesced_accesses += run.len().saturating_sub(ideal) as u64;
         }
         self.seg_scratch.clear();
         self.simd_counts.clear();
-        let log = std::mem::take(&mut self.access_log);
-        for access in &log {
-            let simd_group = access.thread / COALESCE_GROUP;
-            // A vector access may straddle two segments; charge both.
-            let first = access.addr.div_euclid(SEGMENT_ELEMS);
-            let last = (access.addr + access.width.max(1) as i64 - 1).div_euclid(SEGMENT_ELEMS);
-            let first_entry = (simd_group, access.buffer, first);
-            if !self.seg_scratch.contains(&first_entry) {
-                self.seg_scratch.push(first_entry);
-            }
-            let last_entry = (simd_group, access.buffer, last);
-            if last != first && !self.seg_scratch.contains(&last_entry) {
-                self.seg_scratch.push(last_entry);
-            }
-            match self.simd_counts.iter_mut().find(|(g, _)| *g == simd_group) {
-                Some((_, c)) => *c += 1,
-                None => self.simd_counts.push((simd_group, 1)),
-            }
-        }
-        // Hand the (emptied) log buffer back so its capacity is reused.
-        self.access_log = log;
-        self.access_log.clear();
-        let segments = &self.seg_scratch;
-        for &(simd_group, accesses) in &self.simd_counts {
-            let ideal = accesses.div_ceil(COALESCE_GROUP).max(1);
-            let transactions = segments.iter().filter(|(g, _, _)| *g == simd_group).count();
-            self.counters.global_transactions += transactions as u64;
-            self.counters.uncoalesced_accesses += transactions.saturating_sub(ideal) as u64;
-        }
     }
 }
 
@@ -1965,14 +1861,14 @@ fn vector_width(name: &str, prefix: &str) -> Option<usize> {
         .and_then(|rest| rest.parse::<usize>().ok())
         .filter(|w| matches!(w, 2 | 4 | 8 | 16))
 }
-// The unit tests exercise the launch surface through the deprecated `VirtualGpu` shims on
-// purpose: the shims route through `ExecutionRequest` with `EngineSelection::Auto`, so every
-// one of these assertions doubles as differential coverage of the bytecode tier against the
-// pinned expectations of the interpreter era.
+
+// The unit tests launch through `ExecutionRequest` with the default engine selection, so
+// every one of these assertions doubles as differential coverage of the bytecode tier
+// against the pinned expectations of the interpreter era.
 #[cfg(test)]
-#[allow(deprecated)]
 mod tests {
     use super::*;
+    use crate::ExecutionRequest;
     use lift_ocl::{CFunction, CType, Fence, Kernel, KernelParam};
 
     fn copy_kernel() -> Module {
@@ -2004,7 +1900,7 @@ mod tests {
         // Execution-internal state (`Exec`, threads, lowered functions) is thread-local and
         // deliberately exempt.
         fn assert_send_sync<T: Send + Sync>() {}
-        assert_send_sync::<VirtualGpu>();
+        assert_send_sync::<ExecutionRequest<'static>>();
         assert_send_sync::<Module>();
         assert_send_sync::<KernelArg>();
         assert_send_sync::<LaunchResult>();
@@ -2017,11 +1913,9 @@ mod tests {
     #[test]
     fn copy_kernel_copies() {
         let m = copy_kernel();
-        let gpu = VirtualGpu::new();
         let input: Vec<f32> = (0..64).map(|i| i as f32).collect();
-        let result = gpu
+        let result = ExecutionRequest::new(&m)
             .launch(
-                &m,
                 "copy",
                 LaunchConfig::d1(64, 16),
                 vec![KernelArg::Buffer(input.clone()), KernelArg::zeros(64)],
@@ -2036,8 +1930,8 @@ mod tests {
     #[test]
     fn unknown_kernel_is_reported() {
         let m = copy_kernel();
-        let err = VirtualGpu::new()
-            .launch(&m, "missing", LaunchConfig::d1(1, 1), vec![])
+        let err = ExecutionRequest::new(&m)
+            .launch("missing", LaunchConfig::d1(1, 1), vec![])
             .unwrap_err();
         assert_eq!(err, VgpuError::UnknownKernel("missing".into()));
     }
@@ -2045,13 +1939,8 @@ mod tests {
     #[test]
     fn argument_count_is_checked() {
         let m = copy_kernel();
-        let err = VirtualGpu::new()
-            .launch(
-                &m,
-                "copy",
-                LaunchConfig::d1(16, 16),
-                vec![KernelArg::zeros(16)],
-            )
+        let err = ExecutionRequest::new(&m)
+            .launch("copy", LaunchConfig::d1(16, 16), vec![KernelArg::zeros(16)])
             .unwrap_err();
         assert_eq!(
             err,
@@ -2065,9 +1954,8 @@ mod tests {
     #[test]
     fn out_of_bounds_access_is_reported() {
         let m = copy_kernel();
-        let err = VirtualGpu::new()
+        let err = ExecutionRequest::new(&m)
             .launch(
-                &m,
                 "copy",
                 LaunchConfig::d1(64, 16),
                 vec![KernelArg::Buffer(vec![0.0; 8]), KernelArg::zeros(64)],
@@ -2140,9 +2028,8 @@ mod tests {
             ],
         });
         let input: Vec<f32> = (0..32).map(|i| i as f32).collect();
-        let result = VirtualGpu::new()
+        let result = ExecutionRequest::new(&m)
             .launch(
-                &m,
                 "sum4",
                 LaunchConfig::d1(8, 8),
                 vec![KernelArg::Buffer(input), KernelArg::zeros(8)],
@@ -2192,9 +2079,8 @@ mod tests {
             ],
         });
         let input: Vec<f32> = (0..16).map(|i| i as f32).collect();
-        let result = VirtualGpu::new()
+        let result = ExecutionRequest::new(&m)
             .launch(
-                &m,
                 "reverse",
                 LaunchConfig::d1(16, 8),
                 vec![KernelArg::Buffer(input), KernelArg::zeros(16)],
@@ -2230,13 +2116,8 @@ mod tests {
                 }]),
             }],
         });
-        let result = VirtualGpu::new()
-            .launch(
-                &m,
-                "half",
-                LaunchConfig::d1(8, 8),
-                vec![KernelArg::zeros(8)],
-            )
+        let result = ExecutionRequest::new(&m)
+            .launch("half", LaunchConfig::d1(8, 8), vec![KernelArg::zeros(8)])
             .expect("runs");
         assert_eq!(
             result.buffers[0],
@@ -2269,9 +2150,8 @@ mod tests {
             ))],
         });
         let input: Vec<f32> = (0..32).map(|i| i as f32).collect();
-        let result = VirtualGpu::new()
+        let result = ExecutionRequest::new(&m)
             .launch(
-                &m,
                 "vcopy",
                 LaunchConfig::d1(8, 8),
                 vec![KernelArg::Buffer(input.clone()), KernelArg::zeros(32)],
@@ -2305,18 +2185,15 @@ mod tests {
             });
             m
         };
-        let gpu = VirtualGpu::new();
-        let coalesced = gpu
+        let coalesced = ExecutionRequest::new(&make(1))
             .launch(
-                &make(1),
                 "k",
                 LaunchConfig::d1(64, 64),
                 vec![KernelArg::Buffer(vec![0.0; 64 * 32]), KernelArg::zeros(64)],
             )
             .unwrap();
-        let strided = gpu
+        let strided = ExecutionRequest::new(&make(32))
             .launch(
-                &make(32),
                 "k",
                 LaunchConfig::d1(64, 64),
                 vec![KernelArg::Buffer(vec![0.0; 64 * 32]), KernelArg::zeros(64)],
@@ -2350,8 +2227,8 @@ mod tests {
                 otherwise: None,
             }],
         });
-        let err = VirtualGpu::new()
-            .launch(&m, "bad", LaunchConfig::d1(8, 8), vec![KernelArg::zeros(8)])
+        let err = ExecutionRequest::new(&m)
+            .launch("bad", LaunchConfig::d1(8, 8), vec![KernelArg::zeros(8)])
             .unwrap_err();
         assert_eq!(
             err,
@@ -2380,8 +2257,8 @@ mod tests {
                 otherwise: None,
             }],
         });
-        let result = VirtualGpu::new()
-            .launch(&m, "ok", LaunchConfig::d1(16, 8), vec![KernelArg::zeros(8)])
+        let result = ExecutionRequest::new(&m)
+            .launch("ok", LaunchConfig::d1(16, 8), vec![KernelArg::zeros(8)])
             .expect("uniform barrier executes");
         assert_eq!(result.report.counters.barriers, 1);
     }
@@ -2405,13 +2282,8 @@ mod tests {
                 body: vec![CStmt::Barrier(Fence::local())],
             }],
         });
-        let err = VirtualGpu::new()
-            .launch(
-                &m,
-                "loopy",
-                LaunchConfig::d1(4, 4),
-                vec![KernelArg::zeros(4)],
-            )
+        let err = ExecutionRequest::new(&m)
+            .launch("loopy", LaunchConfig::d1(4, 4), vec![KernelArg::zeros(4)])
             .unwrap_err();
         assert!(matches!(err, VgpuError::DivergentBarrier { .. }), "{err:?}");
     }
@@ -2491,8 +2363,9 @@ mod tests {
             },
         ];
         let device = crate::DeviceProfile::nvidia();
-        let result = VirtualGpu::new()
-            .launch_sequence_on(&device, &m, &stages, pool)
+        let result = ExecutionRequest::new(&m)
+            .on_device(&device)
+            .launch_sequence(&stages, pool)
             .expect("sequence runs");
         // 2 * (0 + 1 + ... + 7) = 56.
         assert_eq!(result.buffers[1], vec![56.0]);
@@ -2553,13 +2426,8 @@ mod tests {
                 },
             ],
         });
-        let result = VirtualGpu::new()
-            .launch(
-                &m,
-                "priv",
-                LaunchConfig::d1(4, 2),
-                vec![KernelArg::zeros(4)],
-            )
+        let result = ExecutionRequest::new(&m)
+            .launch("priv", LaunchConfig::d1(4, 2), vec![KernelArg::zeros(4)])
             .expect("runs");
         assert_eq!(result.buffers[0], vec![0.0, 2.0, 4.0, 6.0]);
         assert!(result.report.counters.private_accesses > 0);
@@ -2621,12 +2489,13 @@ mod tests {
         let args = || vec![KernelArg::Buffer(input.clone()), KernelArg::zeros(8)];
         // Detector off: executes (with whichever lock-step interleaving the vgpu has) —
         // this is exactly the "filtered only by output luck" failure mode of PR 5.
-        VirtualGpu::new()
-            .launch(&m, "racy", LaunchConfig::d1(8, 8), args())
+        ExecutionRequest::new(&m)
+            .launch("racy", LaunchConfig::d1(8, 8), args())
             .expect("runs without detection");
         // Detector on: the write-write conflict is a typed error.
-        let err = VirtualGpu::with_race_detection()
-            .launch(&m, "racy", LaunchConfig::d1(8, 8), args())
+        let err = ExecutionRequest::new(&m)
+            .race_detection(true)
+            .launch("racy", LaunchConfig::d1(8, 8), args())
             .expect_err("per-item staging races");
         match &err {
             VgpuError::DataRace {
@@ -2688,12 +2557,14 @@ mod tests {
         let input: Vec<f32> = (1..=4).map(|i| i as f32).collect();
         let args = || vec![KernelArg::Buffer(input.clone()), KernelArg::zeros(4)];
         // 1D launch: dimension 1 is a single work item, so every cell has one writer.
-        VirtualGpu::with_race_detection()
-            .launch(&m, "dim1", LaunchConfig::d1(4, 4), args())
+        ExecutionRequest::new(&m)
+            .race_detection(true)
+            .launch("dim1", LaunchConfig::d1(4, 4), args())
             .expect("1D launch has one writer per cell");
         // 2D launch: (l0, 0) and (l0, 1) both write tmp[l0], with values differing by one.
-        let err = VirtualGpu::with_race_detection()
-            .launch(&m, "dim1", LaunchConfig::d2((4, 2), (4, 2)), args())
+        let err = ExecutionRequest::new(&m)
+            .race_detection(true)
+            .launch("dim1", LaunchConfig::d2((4, 2), (4, 2)), args())
             .expect_err("dimension-1 siblings write different values to the same cell");
         match &err {
             VgpuError::DataRace {
@@ -2748,9 +2619,9 @@ mod tests {
             ],
         });
         let input: Vec<f32> = (1..=16).map(|i| i as f32).collect();
-        let result = VirtualGpu::with_race_detection()
+        let result = ExecutionRequest::new(&m)
+            .race_detection(true)
             .launch(
-                &m,
                 "reverse",
                 LaunchConfig::d1(16, 8),
                 vec![KernelArg::Buffer(input), KernelArg::zeros(16)],
@@ -2767,9 +2638,9 @@ mod tests {
         // write — a typed race, not a wrong answer.
         m.kernels[0].body.remove(2);
         let input: Vec<f32> = (1..=16).map(|i| i as f32).collect();
-        let err = VirtualGpu::with_race_detection()
+        let err = ExecutionRequest::new(&m)
+            .race_detection(true)
             .launch(
-                &m,
                 "reverse",
                 LaunchConfig::d1(16, 8),
                 vec![KernelArg::Buffer(input), KernelArg::zeros(16)],
@@ -2830,13 +2701,9 @@ mod tests {
             });
             m
         };
-        let err = VirtualGpu::with_race_detection()
-            .launch(
-                &make(false),
-                "sweep",
-                LaunchConfig::d1(8, 8),
-                vec![KernelArg::zeros(8)],
-            )
+        let err = ExecutionRequest::new(&make(false))
+            .race_detection(true)
+            .launch("sweep", LaunchConfig::d1(8, 8), vec![KernelArg::zeros(8)])
             .expect_err("the second sweep races against the first without a barrier");
         assert!(
             matches!(err, VgpuError::DataRace { epoch: 0, .. }),
@@ -2844,13 +2711,9 @@ mod tests {
         );
         // With a barrier per iteration (what lowered `iterate` sweeps emit) the epochs
         // advance per executed barrier and the same access pattern is race-free.
-        VirtualGpu::with_race_detection()
-            .launch(
-                &make(true),
-                "sweep",
-                LaunchConfig::d1(8, 8),
-                vec![KernelArg::zeros(8)],
-            )
+        ExecutionRequest::new(&make(true))
+            .race_detection(true)
+            .launch("sweep", LaunchConfig::d1(8, 8), vec![KernelArg::zeros(8)])
             .expect("barrier-separated sweeps are race-free");
     }
 
@@ -2872,13 +2735,9 @@ mod tests {
                 rhs: CExpr::float(3.0),
             }],
         });
-        let result = VirtualGpu::with_race_detection()
-            .launch(
-                &m,
-                "uniform",
-                LaunchConfig::d1(8, 8),
-                vec![KernelArg::zeros(1)],
-            )
+        let result = ExecutionRequest::new(&m)
+            .race_detection(true)
+            .launch("uniform", LaunchConfig::d1(8, 8), vec![KernelArg::zeros(1)])
             .expect("uniform redundant stores are benign");
         assert_eq!(result.buffers[0], vec![3.0]);
     }
@@ -2903,13 +2762,9 @@ mod tests {
                 ),
             }],
         });
-        let err = VirtualGpu::with_race_detection()
-            .launch(
-                &m,
-                "clash",
-                LaunchConfig::d1(8, 4),
-                vec![KernelArg::zeros(1)],
-            )
+        let err = ExecutionRequest::new(&m)
+            .race_detection(true)
+            .launch("clash", LaunchConfig::d1(8, 4), vec![KernelArg::zeros(1)])
             .expect_err("conflicting cross-group writes race");
         match &err {
             VgpuError::DataRace { buffer, index, .. } => {
@@ -2922,18 +2777,22 @@ mod tests {
 
     #[test]
     fn race_detection_flag_is_visible() {
-        assert!(!VirtualGpu::new().race_detection());
-        assert!(VirtualGpu::with_race_detection().race_detection());
+        let m = copy_kernel();
+        assert!(!ExecutionRequest::new(&m).race_detection_enabled());
+        assert!(ExecutionRequest::new(&m)
+            .race_detection(true)
+            .race_detection_enabled());
         // Shadow state never leaks into results: a clean kernel produces identical buffers
         // and counters with and without detection.
         let m = copy_kernel();
         let input: Vec<f32> = (0..64).map(|i| i as f32).collect();
         let args = || vec![KernelArg::Buffer(input.clone()), KernelArg::zeros(64)];
-        let plain = VirtualGpu::new()
-            .launch(&m, "copy", LaunchConfig::d1(64, 16), args())
+        let plain = ExecutionRequest::new(&m)
+            .launch("copy", LaunchConfig::d1(64, 16), args())
             .expect("runs");
-        let detected = VirtualGpu::with_race_detection()
-            .launch(&m, "copy", LaunchConfig::d1(64, 16), args())
+        let detected = ExecutionRequest::new(&m)
+            .race_detection(true)
+            .launch("copy", LaunchConfig::d1(64, 16), args())
             .expect("runs");
         assert_eq!(plain, detected);
     }

@@ -3,7 +3,7 @@
 //! kernel and the hand-written reference kernel reproduce the host-computed result.
 
 use lift::benchmarks::runner::{run_lift, run_reference};
-use lift::benchmarks::{all_benchmarks, ProblemSize};
+use lift::benchmarks::{all_benchmarks, md, ProblemSize};
 use lift::codegen::CompilationOptions;
 
 #[test]
@@ -62,5 +62,29 @@ fn optimisation_levels_do_not_change_results() {
                 case.info.name
             );
         }
+    }
+}
+
+#[test]
+fn md_large_kernels_match_the_host_reference() {
+    // At the large size the interaction terms cancel at about 1.7e10: every MD kernel must
+    // match the host reference there too, at every optimisation level.
+    let case = md::case(ProblemSize::Large);
+    let reference = run_reference(&case).expect("MD reference kernel runs");
+    assert!(
+        reference.correct,
+        "MD large: reference kernel output differs"
+    );
+    for options in [
+        CompilationOptions::none(),
+        CompilationOptions::without_array_access_simplification(),
+        CompilationOptions::all_optimisations(),
+    ] {
+        let outcome = run_lift(&case, &options).expect("MD compiles and runs");
+        assert!(
+            outcome.correct,
+            "MD large at level {}: generated kernel output differs",
+            options.label()
+        );
     }
 }

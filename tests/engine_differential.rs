@@ -13,17 +13,25 @@
 //!    launch to bitwise-equal buffers and counters on both engines.
 //! 3. **Error taxonomy.** A failing launch (out-of-bounds access) produces the same
 //!    [`VgpuError`] value from both engines.
+//! 4. **Row schedule.** The bytecode tier runs each row op across all lanes of a work group
+//!    at once, except in rows that store to shared memory. Hand-written kernels pin the
+//!    cases where that order could leak: a store row whose lanes read each other's writes,
+//!    shadow-memory reader updates made by different lanes at different ops of one row,
+//!    and several lanes failing in one row.
 
 use lift::benchmarks::mm;
 use lift::codegen::{compile, CompilationOptions};
 use lift::ir::prelude::*;
+use lift::ocl::{AddrSpace, CExpr, CStmt, CType, Kernel, KernelParam, Module};
 use lift::rewrite::{
     all_rules, beta_normalize, enumerate, get, replace, sites, typecheck, Exploration,
     ExplorationConfig, RuleCx, RuleOptions, Term, TileSize,
 };
+use lift::telemetry::InMemory;
 use lift::tuner::Workload;
 use lift::vgpu::{
-    DeviceProfile, EngineSelection, ExecutionRequest, LaunchConfig, LaunchResult, VgpuError,
+    DeviceProfile, EngineSelection, ExecutionRequest, KernelArg, LaunchConfig, LaunchResult,
+    VgpuError,
 };
 use lift_arith::ArithExpr;
 use lift_bench::autotune_config;
@@ -522,5 +530,156 @@ fn failing_launches_report_the_same_error_on_both_engines() {
     }
     for e in &errors[1..] {
         assert_eq!(e, &errors[0], "engines disagree on the error");
+    }
+}
+
+// ------------------------------------------------------------------------ row schedule
+
+/// A one-kernel module `row(float *buf)` with the given body.
+fn row_module(body: Vec<CStmt>, buffer_space: AddrSpace) -> Module {
+    let mut m = Module::new();
+    m.kernels.push(Kernel {
+        name: "row".into(),
+        params: vec![KernelParam {
+            name: "buf".into(),
+            ty: CType::pointer(CType::Float, buffer_space),
+        }],
+        body,
+    });
+    m
+}
+
+/// `lid == lane ? then : otherwise` over integer literals.
+fn lane_select(lane: i64, then: i64, otherwise: i64) -> CExpr {
+    CExpr::Ternary(
+        Box::new(CExpr::local_id(0).eq(CExpr::int(lane))),
+        Box::new(CExpr::int(then)),
+        Box::new(CExpr::int(otherwise)),
+    )
+}
+
+/// Launches `row` on both engines and asserts they agree value for value (buffers and
+/// counters, or the error). The bytecode engine must run the kernel itself, not fall back.
+fn launch_both_engines(
+    m: &Module,
+    config: LaunchConfig,
+    args: Vec<KernelArg>,
+    detect_races: bool,
+) -> Result<LaunchResult, VgpuError> {
+    let interpreter = ExecutionRequest::new(m)
+        .engine(EngineSelection::Interpreter)
+        .race_detection(detect_races)
+        .launch("row", config, args.clone());
+    let events = InMemory::new();
+    let bytecode = ExecutionRequest::new(m)
+        .engine(EngineSelection::Bytecode)
+        .race_detection(detect_races)
+        .collector(&events)
+        .launch("row", config, args);
+    assert!(
+        events.events().is_empty(),
+        "the bytecode engine fell back: {:?}",
+        events.events()
+    );
+    assert_eq!(interpreter, bytecode, "engines disagree");
+    bytecode
+}
+
+#[test]
+fn store_row_lanes_see_earlier_lanes_stores() {
+    // `buf[lid + 1] = buf[lid] + 1`: in thread order lane i reads the cell lane i - 1 just
+    // wrote, so the buffer becomes 0, 1, 2, ... Running the load for all lanes before any
+    // store would give 0, 1, 1, 1, ...
+    let body = vec![CStmt::Assign {
+        lhs: CExpr::var("buf").at(CExpr::local_id(0).add(CExpr::int(1))),
+        rhs: CExpr::var("buf")
+            .at(CExpr::local_id(0))
+            .add(CExpr::float(1.0)),
+    }];
+    let m = row_module(body, AddrSpace::Global);
+    let result = launch_both_engines(&m, LaunchConfig::d1(8, 8), vec![KernelArg::zeros(9)], false)
+        .expect("the chain runs");
+    let chain: Vec<f32> = (0..9).map(|i| i as f32).collect();
+    assert_eq!(result.buffers[0], chain);
+}
+
+#[test]
+fn reader_updates_of_one_row_replay_in_thread_order() {
+    // Row 1 reads `tmp[0]` from lane 1 at its first load and from lane 0 at its second, so
+    // in thread order lane 1 is the cell's last reader. Row 2 (same barrier epoch) has
+    // lane 0 store a new value to `tmp[0]`: a read-write race against lane 1. Applying the
+    // reader updates in op order instead would leave lane 0 as the last reader and miss it.
+    let tmp = |lane, then, otherwise| CExpr::var("tmp").at(lane_select(lane, then, otherwise));
+    let body = vec![
+        CStmt::Decl {
+            ty: CType::Float,
+            name: "tmp".into(),
+            addr: Some(AddrSpace::Local),
+            array_len: Some(lift_arith::ArithExpr::cst(4)),
+            init: None,
+        },
+        CStmt::Decl {
+            ty: CType::Float,
+            name: "x".into(),
+            addr: None,
+            array_len: None,
+            init: Some(tmp(1, 0, 1).add(tmp(0, 0, 2))),
+        },
+        CStmt::Assign {
+            lhs: tmp(0, 0, 3),
+            rhs: CExpr::float(5.0),
+        },
+        CStmt::Assign {
+            lhs: CExpr::var("buf").at(CExpr::global_id(0)),
+            rhs: CExpr::var("x"),
+        },
+    ];
+    let m = row_module(body, AddrSpace::Global);
+    let args = vec![KernelArg::zeros(2)];
+    let err = launch_both_engines(&m, LaunchConfig::d1(2, 2), args.clone(), true)
+        .expect_err("lane 0 overwrites the cell lane 1 read in the same epoch");
+    assert_eq!(
+        err,
+        VgpuError::DataRace {
+            buffer: "tmp".into(),
+            index: 0,
+            writers: [1, 0],
+            epoch: 0,
+        }
+    );
+    launch_both_engines(&m, LaunchConfig::d1(2, 2), args, false)
+        .expect("without detection the kernel runs");
+}
+
+#[test]
+fn lowest_failing_lane_reports_in_a_batched_row() {
+    // Lane 1 reads out of bounds at the row's first load (index 100), lane 0 at its second
+    // (index 200). Thread order runs lane 0 to completion first, so its error is the one
+    // reported, even though lane 1's failing op comes earlier in the row.
+    let at = |lane, index| CExpr::var("buf").at(lane_select(lane, index, 0));
+    let body = vec![CStmt::Decl {
+        ty: CType::Float,
+        name: "x".into(),
+        addr: None,
+        array_len: None,
+        init: Some(at(1, 100).add(at(0, 200))),
+    }];
+    let m = row_module(body, AddrSpace::Global);
+    for detect_races in [false, true] {
+        let err = launch_both_engines(
+            &m,
+            LaunchConfig::d1(2, 2),
+            vec![KernelArg::zeros(8)],
+            detect_races,
+        )
+        .expect_err("both lanes read out of bounds");
+        assert_eq!(
+            err,
+            VgpuError::OutOfBounds {
+                space: "global",
+                index: 200,
+                len: 8,
+            }
+        );
     }
 }
