@@ -467,9 +467,11 @@ struct Compiler<'a> {
     max_scratch: u32,
     /// How the body defines each slot.
     defs: Vec<SlotDefs>,
-    /// Per cell register: the cell only ever holds a private-array pointer (or nothing), so
-    /// stores through it cannot be seen by another lane.
-    private_cells: Vec<bool>,
+    /// The slot each cell register belongs to.
+    cell_slots: Vec<usize>,
+    /// Per slot: every lane active at the current compile point has written its cell (a
+    /// defining row of an enclosing block ran before), so reading it needs no check.
+    assigned: Vec<bool>,
     /// Inlining stack of user-function indices (recursion is unsupported).
     fn_stack: Vec<usize>,
     /// Substitution stack for inlined user-function parameters (innermost binding last).
@@ -496,7 +498,8 @@ pub(crate) fn compile(body: &[SStmt], exec: &Exec) -> Result<Program, String> {
         scratch_top: 0,
         max_scratch: 0,
         defs,
-        private_cells: Vec::new(),
+        cell_slots: Vec::new(),
+        assigned: vec![false; nslots],
         fn_stack: Vec::new(),
         subst: Vec::new(),
     };
@@ -689,9 +692,7 @@ impl Compiler<'_> {
         let out = f(self)?;
         self.merge_charges(start);
         let serial = self.code[start..].iter().any(|op| match *op {
-            EOp::StoreChk { ptr, .. } | EOp::StoreLane { ptr, .. } => {
-                ptr & CELL_BIT == 0 || !self.private_cells[(ptr ^ CELL_BIT) as usize]
-            }
+            EOp::StoreChk { ptr, .. } | EOp::StoreLane { ptr, .. } => !self.private_only(ptr),
             _ => false,
         });
         let prog = Prog {
@@ -811,10 +812,7 @@ impl Compiler<'_> {
             }
             false
         };
-        let d = self.defs[slot];
-        let private = d.private && !d.scalar && !d.local && param.is_none();
-        self.private_cells
-            .resize(self.n_cell_regs as usize, private);
+        self.cell_slots.resize(self.n_cell_regs as usize, slot);
         let info = CellInfo {
             base,
             shape,
@@ -822,6 +820,40 @@ impl Compiler<'_> {
         };
         self.cells[slot] = Some(info);
         Ok(info)
+    }
+
+    /// The slot whose cell `r` is, if `r` is a cell operand.
+    fn cell_slot(&self, r: u32) -> Option<usize> {
+        (r & CELL_BIT != 0).then(|| self.cell_slots[(r ^ CELL_BIT) as usize])
+    }
+
+    /// Whether operand `r` can only hold a private-array pointer or nothing: stores through
+    /// it cannot be seen by another lane.
+    fn private_only(&self, r: u32) -> bool {
+        self.cell_slot(r).is_some_and(|slot| {
+            let d = self.defs[slot];
+            d.private && !d.scalar && !d.local && self.exec.params[slot].is_none()
+        })
+    }
+
+    /// Whether operand `r` holds a pointer on every lane at the current compile point: an
+    /// unassigned pointer parameter, or an array slot that has been declared.
+    fn known_ptr(&self, r: u32) -> bool {
+        self.cell_slot(r).is_some_and(|slot| {
+            let d = self.defs[slot];
+            let never_defined = !(d.local || d.private || d.scalar);
+            let array_only = (d.local != d.private) && !d.scalar;
+            (never_defined && matches!(self.exec.params[slot], Some(GpuValue::Ptr(_))))
+                || (array_only && self.assigned[slot])
+        })
+    }
+
+    /// Checks that `r` holds a pointer, unless that is known at compile time.
+    fn ptr_chk(&mut self, r: u32, e: VgpuError) {
+        if !self.known_ptr(r) {
+            let err = self.errid(e);
+            self.emit(EOp::PtrChk { src: r, err });
+        }
     }
 
     fn lookup_subst(&self, slot: usize) -> Option<Val> {
@@ -841,7 +873,7 @@ impl Compiler<'_> {
             return Ok(v);
         }
         let info = self.cell(slot, None)?;
-        if !info.nonnull {
+        if !info.nonnull && !self.assigned[slot] {
             self.emit(EOp::SlotChk {
                 cell: info.base,
                 slot: slot as u32,
@@ -872,7 +904,7 @@ impl Compiler<'_> {
             ));
         }
         let info = self.cell(slot, None)?;
-        if !info.nonnull {
+        if !info.nonnull && !self.assigned[slot] {
             self.emit(EOp::SlotChk {
                 cell: info.base,
                 slot: slot as u32,
@@ -984,8 +1016,7 @@ impl Compiler<'_> {
                     self.fail(VgpuError::NotAPointer(format!("vload{width}")));
                     return Ok(self.dummy(Shape::Vector(w)));
                 }
-                let err = self.errid(VgpuError::NotAPointer(format!("vload{width}")));
-                self.emit(EOp::PtrChk { src: vp.base, err });
+                self.ptr_chk(vp.base, VgpuError::NotAPointer(format!("vload{width}")));
                 let dst = self.sn(w);
                 for lane in 0..w {
                     self.emit(EOp::LoadLane {
@@ -1019,8 +1050,7 @@ impl Compiler<'_> {
                     self.fail(VgpuError::NotAPointer(format!("vstore{width}")));
                     return Ok(self.dummy(Shape::Scalar));
                 }
-                let err = self.errid(VgpuError::NotAPointer(format!("vstore{width}")));
-                self.emit(EOp::PtrChk { src: vp.base, err });
+                self.ptr_chk(vp.base, VgpuError::NotAPointer(format!("vstore{width}")));
                 for lane in 0..nlanes {
                     self.emit(EOp::StoreLane {
                         ptr: vp.base,
@@ -1116,8 +1146,10 @@ impl Compiler<'_> {
                     self.fail(VgpuError::NotAPointer("array expression".to_string()));
                     return Ok(self.dummy(Shape::Scalar));
                 }
-                let err = self.errid(VgpuError::NotAPointer("array expression".to_string()));
-                self.emit(EOp::PtrChk { src: va.base, err });
+                self.ptr_chk(
+                    va.base,
+                    VgpuError::NotAPointer("array expression".to_string()),
+                );
                 let vi = self.expr(idx)?;
                 let ri = self.num(vi);
                 let dst = self.s1();
@@ -1370,6 +1402,7 @@ impl Compiler<'_> {
                             len: l,
                             slot: *slot as u32,
                         });
+                        self.assigned[*slot] = true;
                     }
                     Err(e) => {
                         let err = self.errid(e);
@@ -1386,6 +1419,7 @@ impl Compiler<'_> {
                             cell: info.base,
                             len: l,
                         });
+                        self.assigned[*slot] = true;
                     }
                     Err(e) => {
                         let err = self.errid(e);
@@ -1399,6 +1433,7 @@ impl Compiler<'_> {
                     None => {
                         let info = self.cell(*slot, Some(Shape::Scalar))?;
                         self.rows.push(RowOp::ZeroCell { cell: info.base });
+                        self.assigned[*slot] = true;
                     }
                     Some(e) => {
                         let (prog, v) = self.row_prog(|c| c.expr(e))?;
@@ -1409,6 +1444,7 @@ impl Compiler<'_> {
                             dst: info.base,
                             lanes: v.shape.lanes(),
                         });
+                        self.assigned[*slot] = true;
                     }
                 }
                 Ok(())
@@ -1423,6 +1459,7 @@ impl Compiler<'_> {
                         dst: info.base,
                         lanes: v.shape.lanes(),
                     });
+                    self.assigned[*slot] = true;
                     Ok(())
                 }
                 SLhs::Array(arr, idx) => {
@@ -1433,8 +1470,10 @@ impl Compiler<'_> {
                             c.fail(VgpuError::NotAPointer("array expression".to_string()));
                             return Ok(());
                         }
-                        let err = c.errid(VgpuError::NotAPointer("array expression".to_string()));
-                        c.emit(EOp::PtrChk { src: va.base, err });
+                        c.ptr_chk(
+                            va.base,
+                            VgpuError::NotAPointer("array expression".to_string()),
+                        );
                         let vi = c.expr(idx)?;
                         let ri = c.num(vi);
                         if vr.shape.is_scalar() {
@@ -1501,11 +1540,16 @@ impl Compiler<'_> {
                     else_pc: 0,
                     has_else: otherwise.is_some(),
                 });
+                // A branch runs for a subset of the lanes: what it assigns does not hold
+                // after the `if`.
+                let outer = self.assigned.clone();
                 self.block(then)?;
+                self.assigned.clone_from(&outer);
                 if let Some(ow) = otherwise {
                     let else_at = self.rows.len();
                     self.rows.push(RowOp::Else { end_pc: 0 });
                     self.block(ow)?;
+                    self.assigned.clone_from(&outer);
                     let endif_at = self.rows.len();
                     self.rows.push(RowOp::EndIf);
                     if let RowOp::If { else_pc, .. } = &mut self.rows[if_at] {
@@ -1540,6 +1584,10 @@ impl Compiler<'_> {
                     src: vi.base,
                     cell: info.base,
                 });
+                self.assigned[*slot] = true;
+                // The body's assignments hold for the rest of its round (the step included)
+                // but not for the next round's head or after the loop.
+                let outer = self.assigned.clone();
                 let head_at = self.rows.len();
                 let (cprog, rc) = self.row_prog(|c| {
                     let v = c.expr(cond)?;
@@ -1562,6 +1610,7 @@ impl Compiler<'_> {
                     slot: *slot as u32,
                     head_pc: head_at,
                 });
+                self.assigned = outer;
                 let after = self.rows.len();
                 if let RowOp::ForHead { end_pc, .. } = &mut self.rows[head_at] {
                     *end_pc = after;
@@ -1652,8 +1701,6 @@ struct Vm<'p> {
     spare: Vec<Vec<u32>>,
     /// The lowest lane that failed in the current row, with its error.
     failure: Option<(u32, VgpuError)>,
-    /// Output buffer of whole-register ops.
-    out: Vec<V>,
 }
 
 impl<'p> Vm<'p> {
@@ -1705,7 +1752,6 @@ impl<'p> Vm<'p> {
             pending: Vec::new(),
             spare: Vec::new(),
             failure: None,
-            out: Vec::with_capacity(n),
         }
     }
 
@@ -2344,28 +2390,18 @@ impl<'p> Vm<'p> {
         }
     }
 
-    /// [`float_bin`] over every lane at once, if all lanes hold two floats (else nothing
-    /// happens and it returns false).
+    /// [`float_bin`] over every lane at once. Returns false when some lane does not hold two
+    /// floats; the destination is then partly written, and the caller redoes the op.
     fn dense_float_bin(&mut self, op: CBinOp, d: usize, a: usize, b: usize) -> bool {
         let n = self.lay.n;
-        let (xs, ys) = (&self.regs[a..a + n], &self.regs[b..b + n]);
-        if !xs
-            .iter()
-            .zip(ys)
-            .all(|p| matches!(p, (V::Float(_), V::Float(_))))
-        {
-            return false;
-        }
-        self.out.resize(n, V::None);
+        let (out, xs, ys) = split_dst(&mut self.regs, n, d, a, b);
         match op {
-            CBinOp::Add => zip_floats(&mut self.out, xs, ys, |x, y| V::Float(x + y)),
-            CBinOp::Sub => zip_floats(&mut self.out, xs, ys, |x, y| V::Float(x - y)),
-            CBinOp::Mul => zip_floats(&mut self.out, xs, ys, |x, y| V::Float(x * y)),
-            CBinOp::Div => zip_floats(&mut self.out, xs, ys, |x, y| V::Float(x / y)),
-            _ => zip_floats(&mut self.out, xs, ys, |x, y| float_bin(op, x, y)),
+            CBinOp::Add => zip_floats(out, xs, ys, |x, y| V::Float(x + y)),
+            CBinOp::Sub => zip_floats(out, xs, ys, |x, y| V::Float(x - y)),
+            CBinOp::Mul => zip_floats(out, xs, ys, |x, y| V::Float(x * y)),
+            CBinOp::Div => zip_floats(out, xs, ys, |x, y| V::Float(x / y)),
+            _ => zip_floats(out, xs, ys, |x, y| float_bin(op, x, y)),
         }
-        self.regs[d..d + n].copy_from_slice(&self.out);
-        true
     }
 
     /// A fused index op over `i64` registers.
@@ -2401,7 +2437,7 @@ impl<'p> Vm<'p> {
                 .unpack();
             let at = self.regs[i + l].as_i64() * i64::from(scale) + i64::from(lane);
             match exec.load(ptr, at, group, &self.threads[l], scale as usize) {
-                Ok(v) => self.regs[d + l] = V::Float(v.as_f64()),
+                Ok(v) => self.regs[d + l] = V::Float(f64::from(v)),
                 Err(e) => {
                     failed = Some((pos, e));
                     break;
@@ -2457,14 +2493,34 @@ impl<'p> Vm<'p> {
     }
 }
 
-/// `out[l] = f(xs[l], ys[l])` for lanes holding floats.
+/// Register `d` mutably and registers `a` and `b` shared, each `n` lanes long. An op's
+/// destination is a scratch register allocated after its operands, so it never overlaps
+/// them.
+fn split_dst(regs: &mut [V], n: usize, d: usize, a: usize, b: usize) -> (&mut [V], &[V], &[V]) {
+    if a == b {
+        let [out, x] = regs
+            .get_disjoint_mut([d..d + n, a..a + n])
+            .expect("an op's destination is not one of its operands");
+        (out, x, x)
+    } else {
+        let [out, x, y] = regs
+            .get_disjoint_mut([d..d + n, a..a + n, b..b + n])
+            .expect("an op's destination is not one of its operands");
+        (out, x, y)
+    }
+}
+
+/// `out[l] = f(xs[l], ys[l])` while lanes hold two floats; false at the first lane that
+/// does not.
 #[inline(always)]
-fn zip_floats(out: &mut [V], xs: &[V], ys: &[V], f: impl Fn(f64, f64) -> V) {
+fn zip_floats(out: &mut [V], xs: &[V], ys: &[V], f: impl Fn(f64, f64) -> V) -> bool {
     for (o, (x, y)) in out.iter_mut().zip(xs.iter().zip(ys)) {
-        if let (V::Float(x), V::Float(y)) = (*x, *y) {
-            *o = f(x, y);
+        match (*x, *y) {
+            (V::Float(x), V::Float(y)) => *o = f(x, y),
+            _ => return false,
         }
     }
+    true
 }
 
 /// [`bin`] on two floats, without the charge (see [`float_bin_counter`]).

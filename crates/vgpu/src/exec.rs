@@ -1185,13 +1185,14 @@ impl Exec {
                     .ok_or_else(|| VgpuError::NotAPointer(format!("vload{width}")))?;
                 let mut lanes = Vec::with_capacity(*width);
                 for lane in 0..*width {
-                    lanes.push(self.load(
+                    let v = self.load(
                         ptr,
                         idx * *width as i64 + lane as i64,
                         group,
                         thread,
                         *width,
-                    )?);
+                    )?;
+                    lanes.push(GpuValue::Float(f64::from(v)));
                 }
                 self.counters.vector_accesses += *width as u64;
                 Ok(GpuValue::Vector(lanes))
@@ -1282,7 +1283,8 @@ impl Exec {
                     .as_ptr()
                     .ok_or_else(|| VgpuError::NotAPointer("array expression".to_string()))?;
                 let idx = self.eval(idx, group, thread)?.as_i64();
-                self.load(ptr, idx, group, thread, 1)
+                let v = self.load(ptr, idx, group, thread, 1)?;
+                Ok(GpuValue::Float(f64::from(v)))
             }
             SExpr::Field(obj, idx, field) => {
                 // Fast path for `var._i`: project the field straight out of the thread
@@ -1496,6 +1498,9 @@ impl Exec {
             + self.config.global[0] * (thread.gid[1] + self.config.global[1] * thread.gid[2])
     }
 
+    /// Loads element `idx` through `ptr`: bounds check, counters, coalescing log and race
+    /// checks.
+    #[inline]
     pub(crate) fn load(
         &mut self,
         ptr: Ptr,
@@ -1503,7 +1508,7 @@ impl Exec {
         group: &mut Group,
         thread: &Thread,
         vector_width: usize,
-    ) -> Result<GpuValue, VgpuError> {
+    ) -> Result<f32, VgpuError> {
         let addr = ptr.offset + idx;
         let value = match ptr.space {
             AddrSpace::Global => {
@@ -1511,7 +1516,7 @@ impl Exec {
                 let slot = usize::try_from(addr)
                     .ok()
                     .filter(|a| *a < buf.len())
-                    .ok_or(VgpuError::OutOfBounds {
+                    .ok_or_else(|| VgpuError::OutOfBounds {
                         space: "global",
                         index: addr,
                         len: buf.len(),
@@ -1554,7 +1559,7 @@ impl Exec {
                 let slot = usize::try_from(addr)
                     .ok()
                     .filter(|a| *a < buf.len())
-                    .ok_or(VgpuError::OutOfBounds {
+                    .ok_or_else(|| VgpuError::OutOfBounds {
                         space: "local",
                         index: addr,
                         len: buf.len(),
@@ -1587,14 +1592,14 @@ impl Exec {
                         cell.read_epoch = group.epoch;
                     }
                 }
-                return Ok(GpuValue::Float(f64::from(value)));
+                value
             }
             AddrSpace::Private => {
                 let buf = &thread.private[ptr.buffer];
                 let slot = usize::try_from(addr)
                     .ok()
                     .filter(|a| *a < buf.len())
-                    .ok_or(VgpuError::OutOfBounds {
+                    .ok_or_else(|| VgpuError::OutOfBounds {
                         space: "private",
                         index: addr,
                         len: buf.len(),
@@ -1603,7 +1608,7 @@ impl Exec {
                 buf[slot]
             }
         };
-        Ok(GpuValue::Float(f64::from(value)))
+        Ok(value)
     }
 
     pub(crate) fn store(
