@@ -12,23 +12,50 @@
 //! A program is two instruction streams:
 //!
 //! * **Row ops** ([`RowOp`]) mirror the lock-step statement rows of the SIMT interpreter:
-//!   each op loops over the work items of the group under the current activity mask, charges
-//!   one `lockstep_rows` per statement (one per round for loop heads) and flushes the
-//!   coalescing window exactly where the interpreter does. Structured control flow becomes
-//!   dense jumps over the row stream with an explicit mask stack (`If`/`Else`/`EndIf`,
-//!   `ForInit`/`ForHead`/`ForStep`).
-//! * **Expression ops** ([`EOp`]) are a register-file bytecode executed per work item. Index
-//!   evaluation is fused into dedicated ops (`RAdd`/`RDivE`/…) that carge the interpreter's
-//!   `int_ops`/`div_mod_ops` exactly; cost counters, pointer checks and memory instrumentation
-//!   are explicit instructions (`ChargeInt`, `PtrChk`, `Load`, `StoreChk`, …), so
-//!   instrumentation is part of the ISA rather than a property of a tree walk.
+//!   each op runs over the active lanes of the group under the current activity mask,
+//!   charges one `lockstep_rows` per statement (one per round for loop heads) and flushes
+//!   the coalescing window exactly where the interpreter does. Structured control flow
+//!   becomes dense jumps over the row stream with an explicit mask stack (`If`/`Else`/
+//!   `EndIf`, `ForInit`/`ForHead`/`ForStep`).
+//! * **Expression ops** ([`EOp`]) are a three-address register bytecode; a row op runs a
+//!   slice of them (a row program). Index evaluation is fused into dedicated ops
+//!   (`RAdd`/`RDivE`/…), and counter charges, pointer checks and memory instrumentation are
+//!   explicit instructions (`Charge`, `PtrChk`, `Load`, `StoreChk`, …), so instrumentation
+//!   is part of the ISA rather than a property of a tree walk. Charges are merged into one
+//!   `Charge` per basic block.
 //!
-//! Registers are `u32` operands: bit 31 selects the per-thread *cell file* (persistent
-//! variable slots, reset to a per-launch prototype at each work group), otherwise the operand
-//! indexes the *scratch file* of the current row program. Work items run sequentially within
-//! a row, and every scratch register is written before it is read within a program, so one
-//! shared scratch file serves all threads. Aggregates (OpenCL short vectors and tuple
-//! structs) are scalarised into consecutive registers at compile time.
+//! # Registers
+//!
+//! Registers are `u32` operands naming one of three files: bit 31 selects the *cell file*
+//! (persistent variable slots, reset to a per-launch prototype at each work group), bit 30
+//! the *constant pool* (lane-uniform literals, filled once per launch), and otherwise the
+//! operand indexes the *scratch file* of the current row program. All three are
+//! structure-of-arrays: a register holds one value per lane of the work group, so an op
+//! decodes its operands once and then loops over the lanes. Aggregates (OpenCL short
+//! vectors and tuple structs) are scalarised into consecutive registers at compile time.
+//!
+//! # Schedule
+//!
+//! The reference order is thread order: each work item runs a row's program to the end
+//! before the next one starts. A row program without a global or local store runs
+//! lane-batched instead, op by op over all active lanes. No lane can observe another lane's
+//! effects in such a row, so only three things could depend on the order, and each is
+//! restored exactly:
+//!
+//! * counters are sums (a charge of `n` becomes `n × active lanes`);
+//! * when lanes fail, the lowest failing lane's error is reported (the lanes above it stop,
+//!   since thread order never runs them);
+//! * the race detector's shadow `reader` updates are deferred and replayed in (lane, op)
+//!   order at the end of the row.
+//!
+//! A row program that may store to global or local memory runs the same executor one lane
+//! at a time, in thread order. Stores through a private array do not count: no other lane
+//! can see them. The only jumps (`Jz`/`Jmp`, from ternaries) point forward; they split the
+//! lane list, and the lanes that jumped rejoin at the target.
+//!
+//! The compiler leaves out a variable's "is it set?" check where a defining row of an
+//! enclosing block already ran on every active lane, and a pointer check where the operand
+//! is a declared array or a pointer parameter that is never assigned.
 //!
 //! # Fallback
 //!

@@ -683,3 +683,57 @@ fn lowest_failing_lane_reports_in_a_batched_row() {
         );
     }
 }
+
+#[test]
+fn reads_a_lane_may_not_have_assigned_still_fail() {
+    // The bytecode compiler drops the "is this variable set?" check where an earlier row of
+    // an enclosing block set it on every active lane. A value set only inside a branch, only
+    // later in a loop body, or in a loop some lanes never enter must still fail on the lanes
+    // that read it unset.
+    let assign = |name: &str, v: f64| CStmt::Assign {
+        lhs: CExpr::var(name),
+        rhs: CExpr::float(v),
+    };
+    let store = |name: &str| CStmt::Assign {
+        lhs: CExpr::var("buf").at(CExpr::local_id(0)),
+        rhs: CExpr::var(name),
+    };
+    let branch = vec![
+        CStmt::If {
+            cond: CExpr::local_id(0).eq(CExpr::int(0)),
+            then: vec![assign("x", 1.0)],
+            otherwise: None,
+        },
+        store("x"),
+    ];
+    let loop_carried = vec![CStmt::For {
+        var: "i".into(),
+        init: CExpr::int(0),
+        cond: CExpr::var("i").lt(CExpr::int(2)),
+        step: CExpr::int(1),
+        body: vec![store("y"), assign("y", 2.0)],
+    }];
+    let loop_skipped = vec![
+        CStmt::For {
+            var: "i".into(),
+            init: CExpr::int(0),
+            cond: CExpr::var("i").lt(CExpr::local_id(0)),
+            step: CExpr::int(1),
+            body: vec![assign("z", 3.0)],
+        },
+        store("z"),
+    ];
+    for (body, name) in [(branch, "x"), (loop_carried, "y"), (loop_skipped, "z")] {
+        let m = row_module(body, AddrSpace::Global);
+        for detect_races in [false, true] {
+            let err = launch_both_engines(
+                &m,
+                LaunchConfig::d1(4, 4),
+                vec![KernelArg::zeros(4)],
+                detect_races,
+            )
+            .expect_err("a lane reads an unset variable");
+            assert_eq!(err, VgpuError::UnknownVariable(name.into()));
+        }
+    }
+}
