@@ -1746,7 +1746,7 @@ impl<'p> Vm<'p> {
         let cell_proto = prog
             .proto
             .iter()
-            .flat_map(|v| std::iter::repeat(*v).take(n))
+            .flat_map(|v| std::iter::repeat_n(*v, n))
             .collect();
         let mut threads: Vec<Thread> = Vec::with_capacity(n);
         for lz in 0..local[2] {
@@ -2171,13 +2171,7 @@ impl<'p> Vm<'p> {
             };
             let active = self.lanes.len() as u64;
             match op {
-                EOp::Mov { dst, src } => {
-                    let (d, s) = (lay.off(dst), lay.off(src));
-                    for &l in &self.lanes {
-                        let l = l as usize;
-                        self.regs[d + l] = self.regs[s + l];
-                    }
-                }
+                EOp::Mov { dst, src } => self.map1(lay.off(dst), lay.off(src), |v| v),
                 EOp::SlotChk { cell, slot } => {
                     let c = cell as usize * lay.n;
                     let regs = &self.regs;
@@ -2191,11 +2185,7 @@ impl<'p> Vm<'p> {
                     }
                 }
                 EOp::IdxOf { dst, src } | EOp::CastInt { dst, src } => {
-                    let (d, s) = (lay.off(dst), lay.off(src));
-                    for &l in &self.lanes {
-                        let l = l as usize;
-                        self.regs[d + l] = V::Int(self.regs[s + l].as_i64());
-                    }
+                    self.map1(lay.off(dst), lay.off(src), |v| V::Int(v.as_i64()));
                 }
                 EOp::Bin { op, dst, a, b } => {
                     let (d, a, b) = (lay.off(dst), lay.off(a), lay.off(b));
@@ -2207,22 +2197,14 @@ impl<'p> Vm<'p> {
                 }
                 EOp::Neg { dst, src } => {
                     exec.counters.flops += active;
-                    let (d, s) = (lay.off(dst), lay.off(src));
-                    for &l in &self.lanes {
-                        let l = l as usize;
-                        self.regs[d + l] = match self.regs[s + l] {
-                            V::Int(i) => V::Int(-i),
-                            other => V::Float(-other.as_f64()),
-                        };
-                    }
+                    self.map1(lay.off(dst), lay.off(src), |v| match v {
+                        V::Int(i) => V::Int(-i),
+                        other => V::Float(-other.as_f64()),
+                    });
                 }
                 EOp::Not { dst, src } => {
                     exec.counters.int_ops += active;
-                    let (d, s) = (lay.off(dst), lay.off(src));
-                    for &l in &self.lanes {
-                        let l = l as usize;
-                        self.regs[d + l] = V::Bool(!self.regs[s + l].as_bool());
-                    }
+                    self.map1(lay.off(dst), lay.off(src), |v| V::Bool(!v.as_bool()));
                 }
                 EOp::WorkItem { kind, dst, dim } => {
                     let (d, s) = (lay.off(dst), lay.off(dim));
@@ -2244,32 +2226,27 @@ impl<'p> Vm<'p> {
                 }
                 EOp::Math1 { kind, dst, src } => {
                     exec.counters.flops += 4 * active;
-                    let (d, s) = (lay.off(dst), lay.off(src));
-                    for &l in &self.lanes {
-                        let l = l as usize;
-                        let v = self.regs[s + l].as_f64();
-                        let out = match kind {
+                    self.map1(lay.off(dst), lay.off(src), |v| {
+                        let v = v.as_f64();
+                        V::Float(match kind {
                             Math1::Sqrt => v.sqrt(),
                             Math1::Rsqrt => 1.0 / v.sqrt(),
                             Math1::Fabs => v.abs(),
                             Math1::Exp => v.exp(),
                             Math1::Log => v.ln(),
                             Math1::Floor => v.floor(),
-                        };
-                        self.regs[d + l] = V::Float(out);
-                    }
+                        })
+                    });
                 }
                 EOp::Math2 { kind, dst, a, b } => {
                     exec.counters.flops += active;
-                    let (d, a, b) = (lay.off(dst), lay.off(a), lay.off(b));
-                    for &l in &self.lanes {
-                        let l = l as usize;
-                        let (x, y) = (self.regs[a + l].as_f64(), self.regs[b + l].as_f64());
-                        self.regs[d + l] = V::Float(match kind {
+                    self.map2(lay.off(dst), lay.off(a), lay.off(b), |x, y| {
+                        let (x, y) = (x.as_f64(), y.as_f64());
+                        V::Float(match kind {
                             Math2::Min => x.min(y),
                             Math2::Max => x.max(y),
-                        });
-                    }
+                        })
+                    });
                 }
                 EOp::Mad { dst, a, b, c } => {
                     exec.counters.flops += 2 * active;
@@ -2283,18 +2260,10 @@ impl<'p> Vm<'p> {
                     }
                 }
                 EOp::CastFloat { dst, src } => {
-                    let (d, s) = (lay.off(dst), lay.off(src));
-                    for &l in &self.lanes {
-                        let l = l as usize;
-                        self.regs[d + l] = V::Float(self.regs[s + l].as_f64());
-                    }
+                    self.map1(lay.off(dst), lay.off(src), |v| V::Float(v.as_f64()));
                 }
                 EOp::CastBool { dst, src } => {
-                    let (d, s) = (lay.off(dst), lay.off(src));
-                    for &l in &self.lanes {
-                        let l = l as usize;
-                        self.regs[d + l] = V::Bool(self.regs[s + l].as_bool());
-                    }
+                    self.map1(lay.off(dst), lay.off(src), |v| V::Bool(v.as_bool()));
                 }
                 EOp::Charge {
                     int_ops,
@@ -2323,11 +2292,7 @@ impl<'p> Vm<'p> {
                 EOp::RMin { dst, a, b } => self.index_op(lay, dst, a, b, i64::min),
                 EOp::RMax { dst, a, b } => self.index_op(lay, dst, a, b, i64::max),
                 EOp::RPow { dst, src, e } => {
-                    let (d, s) = (lay.off(dst), lay.off(src));
-                    for &l in &self.lanes {
-                        let l = l as usize;
-                        self.regs[d + l] = V::Int(self.regs[s + l].as_i64().pow(e));
-                    }
+                    self.map1(lay.off(dst), lay.off(src), |v| V::Int(v.as_i64().pow(e)));
                 }
                 EOp::PtrChk { src, err } => {
                     let s = lay.off(src);
@@ -2431,14 +2396,47 @@ impl<'p> Vm<'p> {
         }
     }
 
+    /// `d[l] = f(s[l])` on every active lane (register offsets `d`, `s`). With all lanes
+    /// active the loop runs over whole registers.
+    #[inline(always)]
+    fn map1(&mut self, d: usize, s: usize, f: impl Fn(V) -> V) {
+        let n = self.lay.n;
+        if self.lanes.len() == n {
+            let (out, xs, _) = split_dst(&mut self.regs, n, d, s, s);
+            for (o, x) in out.iter_mut().zip(xs) {
+                *o = f(*x);
+            }
+        } else {
+            for &l in &self.lanes {
+                let l = l as usize;
+                self.regs[d + l] = f(self.regs[s + l]);
+            }
+        }
+    }
+
+    /// `d[l] = f(a[l], b[l])` on every active lane, like [`Vm::map1`].
+    #[inline(always)]
+    fn map2(&mut self, d: usize, a: usize, b: usize, f: impl Fn(V, V) -> V) {
+        let n = self.lay.n;
+        if self.lanes.len() == n {
+            let (out, xs, ys) = split_dst(&mut self.regs, n, d, a, b);
+            for (o, (x, y)) in out.iter_mut().zip(xs.iter().zip(ys)) {
+                *o = f(*x, *y);
+            }
+        } else {
+            for &l in &self.lanes {
+                let l = l as usize;
+                self.regs[d + l] = f(self.regs[a + l], self.regs[b + l]);
+            }
+        }
+    }
+
     /// A fused index op over `i64` registers.
     #[inline(always)]
     fn index_op(&mut self, lay: Layout, dst: u32, a: u32, b: u32, f: impl Fn(i64, i64) -> i64) {
-        let (d, a, b) = (lay.off(dst), lay.off(a), lay.off(b));
-        for &l in &self.lanes {
-            let l = l as usize;
-            self.regs[d + l] = V::Int(f(self.regs[a + l].as_i64(), self.regs[b + l].as_i64()));
-        }
+        self.map2(lay.off(dst), lay.off(a), lay.off(b), |x, y| {
+            V::Int(f(x.as_i64(), y.as_i64()))
+        });
     }
 
     /// Loads element `idx * scale + lane` through [`Exec::load`] for every lane; `scale` is

@@ -1516,7 +1516,7 @@ impl Exec {
                 let slot = usize::try_from(addr)
                     .ok()
                     .filter(|a| *a < buf.len())
-                    .ok_or_else(|| VgpuError::OutOfBounds {
+                    .ok_or(VgpuError::OutOfBounds {
                         space: "global",
                         index: addr,
                         len: buf.len(),
@@ -1559,7 +1559,7 @@ impl Exec {
                 let slot = usize::try_from(addr)
                     .ok()
                     .filter(|a| *a < buf.len())
-                    .ok_or_else(|| VgpuError::OutOfBounds {
+                    .ok_or(VgpuError::OutOfBounds {
                         space: "local",
                         index: addr,
                         len: buf.len(),
@@ -1599,7 +1599,7 @@ impl Exec {
                 let slot = usize::try_from(addr)
                     .ok()
                     .filter(|a| *a < buf.len())
-                    .ok_or_else(|| VgpuError::OutOfBounds {
+                    .ok_or(VgpuError::OutOfBounds {
                         space: "private",
                         index: addr,
                         len: buf.len(),
