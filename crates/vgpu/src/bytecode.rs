@@ -1724,8 +1724,6 @@ struct Vm<'p> {
     threads: Vec<Thread>,
     lanes: Vec<u32>,
     pending: Vec<(u32, Vec<u32>)>,
-    /// Recycled lane lists.
-    spare: Vec<Vec<u32>>,
     /// The lowest lane that failed in the current row, with its error.
     failure: Option<(u32, VgpuError)>,
 }
@@ -1777,7 +1775,6 @@ impl<'p> Vm<'p> {
             threads,
             lanes: Vec::with_capacity(n),
             pending: Vec::new(),
-            spare: Vec::new(),
             failure: None,
         }
     }
@@ -1798,12 +1795,6 @@ impl<'p> Vm<'p> {
         self.masks.resize(self.n, true);
         self.else_masks.clear();
         self.if_stack.clear();
-    }
-
-    fn take_spare(&mut self) -> Vec<u32> {
-        let mut v = self.spare.pop().unwrap_or_default();
-        v.clear();
-        v
     }
 
     /// Sets `lanes` to the active lanes of the current mask: masked in and not returned.
@@ -1849,9 +1840,8 @@ impl<'p> Vm<'p> {
         let prog = self.prog;
         let code = &prog.code[p.start as usize..(p.start + p.len) as usize];
         if p.serial {
-            let single = self.take_spare();
-            let active = std::mem::replace(&mut self.lanes, single);
-            let mut done = self.take_spare();
+            let active = std::mem::take(&mut self.lanes);
+            let mut done = Vec::with_capacity(active.len());
             for &l in &active {
                 self.lanes.clear();
                 self.lanes.push(l);
@@ -1861,9 +1851,7 @@ impl<'p> Vm<'p> {
                 }
                 done.push(l);
             }
-            let single = std::mem::replace(&mut self.lanes, done);
-            self.spare.push(single);
-            self.spare.push(active);
+            self.lanes = done;
         } else {
             exec.defer_reads = exec.detect;
             self.exec_prog(exec, group, code);
@@ -1876,44 +1864,10 @@ impl<'p> Vm<'p> {
 
     /// Lanes parked at jump target `pc` rejoin `lanes`, keeping it sorted.
     fn rejoin(&mut self, pc: u32) {
-        let mut i = 0;
-        while i < self.pending.len() {
-            if self.pending[i].0 != pc {
-                i += 1;
-                continue;
-            }
+        while let Some(i) = self.pending.iter().position(|(t, _)| *t == pc) {
             let (_, parked) = self.pending.swap_remove(i);
-            if self.lanes.is_empty() {
-                let old = std::mem::replace(&mut self.lanes, parked);
-                self.spare.push(old);
-                continue;
-            }
-            let mut merged = self.take_spare();
-            let (a, b) = (&self.lanes, &parked);
-            let (mut x, mut y) = (0, 0);
-            while x < a.len() && y < b.len() {
-                if a[x] < b[y] {
-                    merged.push(a[x]);
-                    x += 1;
-                } else {
-                    merged.push(b[y]);
-                    y += 1;
-                }
-            }
-            merged.extend_from_slice(&a[x..]);
-            merged.extend_from_slice(&b[y..]);
-            let old = std::mem::replace(&mut self.lanes, merged);
-            self.spare.push(old);
-            self.spare.push(parked);
-        }
-    }
-
-    /// Parks lanes that jumped to `target` until the program reaches it.
-    fn park(&mut self, target: u32, parked: Vec<u32>) {
-        if parked.is_empty() {
-            self.spare.push(parked);
-        } else {
-            self.pending.push((target, parked));
+            self.lanes.extend_from_slice(&parked);
+            self.lanes.sort_unstable();
         }
     }
 
@@ -2334,21 +2288,17 @@ impl<'p> Vm<'p> {
                 } => self.store(exec, group, ptr, idx, val, width, lane, None),
                 EOp::Jz { cond, target } => {
                     let c = lay.off(cond);
-                    let mut parked = self.take_spare();
                     let regs = &self.regs;
-                    self.lanes.retain(|&l| {
-                        let taken = regs[c + l as usize].as_bool();
-                        if !taken {
-                            parked.push(l);
-                        }
-                        taken
-                    });
-                    self.park(target, parked);
+                    let (stay, jump) = self
+                        .lanes
+                        .iter()
+                        .partition(|&&l| regs[c + l as usize].as_bool());
+                    self.lanes = stay;
+                    self.pending.push((target, jump));
                 }
                 EOp::Jmp { target } => {
-                    let none = self.take_spare();
-                    let parked = std::mem::replace(&mut self.lanes, none);
-                    self.park(target, parked);
+                    let jump = std::mem::take(&mut self.lanes);
+                    self.pending.push((target, jump));
                 }
                 EOp::Fail { err } => self.fail_at(0, errors[err as usize].clone()),
             }
