@@ -66,7 +66,6 @@
 //! to the slotted interpreter for that launch. The Lift code generator never emits these
 //! shapes; the fallback keeps the tier sound for hand-written modules.
 
-use std::collections::HashMap;
 use std::rc::Rc;
 
 use lift_ocl::{AddrSpace, CBinOp, CUnOp};
@@ -486,8 +485,6 @@ struct Compiler<'a> {
     n_cell_regs: u32,
     proto: Vec<V>,
     consts: Vec<V>,
-    /// Constant-pool index by variant and bit pattern.
-    const_ids: HashMap<(u8, u64), u32>,
     /// Start of the current row program in `code` (jump targets are relative to it).
     prog_start: usize,
     scratch_top: u32,
@@ -520,7 +517,6 @@ pub(crate) fn compile(body: &[SStmt], exec: &Exec) -> Result<Program, String> {
         n_cell_regs: 0,
         proto: Vec::new(),
         consts: Vec::new(),
-        const_ids: HashMap::new(),
         prog_start: 0,
         scratch_top: 0,
         max_scratch: 0,
@@ -622,18 +618,19 @@ impl Compiler<'_> {
     /// The constant-pool operand holding `v` (lane-uniform, so it is never materialised
     /// per lane).
     fn konst(&mut self, v: V) -> u32 {
-        let key = match v {
-            V::Int(i) => (0, i as u64),
-            V::Float(f) => (1, f.to_bits()),
-            V::Bool(b) => (2, u64::from(b)),
-            V::None | V::Ptr(_) => unreachable!("only numeric constants are pooled"),
+        // Bitwise equality, so `-0.0` and `0.0` (and NaNs) keep their own entries.
+        let same = |c: &V| match (*c, v) {
+            (V::Float(x), V::Float(y)) => x.to_bits() == y.to_bits(),
+            (c, v) => c == v,
         };
-        let next = self.consts.len() as u32;
-        let id = *self.const_ids.entry(key).or_insert(next);
-        if id == next {
-            self.consts.push(v);
-        }
-        id | CONST_BIT
+        let id = match self.consts.iter().position(same) {
+            Some(i) => i,
+            None => {
+                self.consts.push(v);
+                self.consts.len() - 1
+            }
+        };
+        id as u32 | CONST_BIT
     }
 
     fn intc(&mut self, v: i64) -> u32 {
@@ -735,35 +732,37 @@ impl Compiler<'_> {
     /// in its block cannot be observed: every lane that enters a block either runs all of it
     /// or fails the launch, and a failed launch reports no counters.
     fn merge_charges(&mut self, start: usize) {
-        let code = self.code.split_off(start);
-        let mut leader = vec![false; code.len() + 1];
+        let len = self.code.len() - start;
+        let mut leader = vec![false; len + 1];
         leader[0] = true;
-        for (i, op) in code.iter().enumerate() {
+        for (i, op) in self.code[start..].iter().enumerate() {
             if let EOp::Jz { target, .. } | EOp::Jmp { target } = *op {
                 leader[target as usize] = true;
                 leader[i + 1] = true;
             }
         }
-        let mut new_index = Vec::with_capacity(code.len() + 1);
-        let mut merged: Vec<EOp> = Vec::with_capacity(code.len());
+        // Compact in place: `new_index[i]` is where op `i` (or what replaces it) ends up.
+        let mut new_index = Vec::with_capacity(len + 1);
+        let mut w = start;
         let mut block_charge = None;
-        for (i, op) in code.iter().enumerate() {
-            if leader[i] {
+        for (i, &is_leader) in leader[..len].iter().enumerate() {
+            let op = self.code[start + i];
+            if is_leader {
                 block_charge = None;
             }
-            new_index.push(merged.len() as u32);
+            new_index.push((w - start) as u32);
             if let EOp::Charge {
                 int_ops,
                 div_mod_ops,
                 vector_accesses,
-            } = *op
+            } = op
             {
                 if let Some(at) = block_charge {
                     if let EOp::Charge {
                         int_ops: i,
                         div_mod_ops: d,
                         vector_accesses: v,
-                    } = &mut merged[at]
+                    } = &mut self.code[at]
                     {
                         *i += int_ops;
                         *d += div_mod_ops;
@@ -771,17 +770,18 @@ impl Compiler<'_> {
                     }
                     continue;
                 }
-                block_charge = Some(merged.len());
+                block_charge = Some(w);
             }
-            merged.push(*op);
+            self.code[w] = op;
+            w += 1;
         }
-        new_index.push(merged.len() as u32);
-        for op in &mut merged {
+        new_index.push((w - start) as u32);
+        self.code.truncate(w);
+        for op in &mut self.code[start..] {
             if let EOp::Jz { target, .. } | EOp::Jmp { target } = op {
                 *target = new_index[*target as usize];
             }
         }
-        self.code.extend(merged);
     }
 
     /// The cell of `slot`, allocating on first touch. `want` enforces a shape (assignments,
