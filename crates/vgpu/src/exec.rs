@@ -2789,7 +2789,6 @@ mod tests {
             .race_detection_enabled());
         // Shadow state never leaks into results: a clean kernel produces identical buffers
         // and counters with and without detection.
-        let m = copy_kernel();
         let input: Vec<f32> = (0..64).map(|i| i as f32).collect();
         let args = || vec![KernelArg::Buffer(input.clone()), KernelArg::zeros(64)];
         let plain = ExecutionRequest::new(&m)
