@@ -737,3 +737,126 @@ fn reads_a_lane_may_not_have_assigned_still_fail() {
         }
     }
 }
+
+/// Parameters of [`interacting_rows`]: each `(scale, offset)` pair is the lane map
+/// `lid -> (lid * scale + offset) % 8` of one local-memory access.
+#[derive(Clone, Copy, Debug)]
+struct Rows {
+    stage: (i64, i64),
+    first_read: (i64, i64),
+    second_read: (i64, i64),
+    overwrite: (i64, i64),
+    lo: i64,
+    hi: i64,
+    barrier: bool,
+}
+
+/// A kernel whose lanes interact through local and global memory, row by row:
+///
+/// 1. `tmp[stage(lid)] = in[gid] + lid` — a local store row where several lanes may hit
+///    one cell;
+/// 2. an optional barrier;
+/// 3. `x = tmp[first_read(lid)] + tmp[second_read(lid)] + in[lid < 2 ? lo : hi]` — a
+///    batched row whose lanes may read one cell at different ops, and whose `in` index
+///    reads out of bounds above 7;
+/// 4. `tmp[overwrite(lid)] = x` — a store row in the same epoch as those reads;
+/// 5. `out[(gid + 1) % 8] = out[gid] + x` — a store row whose lanes read their
+///    neighbours' stores.
+fn interacting_rows(r: Rows) -> Module {
+    let int = CExpr::int;
+    let tmp = |(scale, offset): (i64, i64)| {
+        CExpr::var("tmp").at(CExpr::local_id(0)
+            .mul(int(scale))
+            .add(int(offset))
+            .rem(int(8)))
+    };
+    let mut body = vec![
+        CStmt::Decl {
+            ty: CType::Float,
+            name: "tmp".into(),
+            addr: Some(AddrSpace::Local),
+            array_len: Some(lift_arith::ArithExpr::cst(8)),
+            init: None,
+        },
+        CStmt::Assign {
+            lhs: tmp(r.stage),
+            rhs: CExpr::var("in")
+                .at(CExpr::global_id(0))
+                .add(CExpr::Cast(CType::Float, Box::new(CExpr::local_id(0)))),
+        },
+    ];
+    if r.barrier {
+        body.push(CStmt::Barrier(lift::ocl::Fence::local()));
+    }
+    let in_index = CExpr::Ternary(
+        Box::new(CExpr::local_id(0).lt(int(2))),
+        Box::new(int(r.lo)),
+        Box::new(int(r.hi)),
+    );
+    body.extend([
+        CStmt::Decl {
+            ty: CType::Float,
+            name: "x".into(),
+            addr: None,
+            array_len: None,
+            init: Some(
+                tmp(r.first_read)
+                    .add(tmp(r.second_read))
+                    .add(CExpr::var("in").at(in_index)),
+            ),
+        },
+        CStmt::Assign {
+            lhs: tmp(r.overwrite),
+            rhs: CExpr::var("x"),
+        },
+        CStmt::Assign {
+            lhs: CExpr::var("out").at(CExpr::global_id(0).add(int(1)).rem(int(8))),
+            rhs: CExpr::var("out")
+                .at(CExpr::global_id(0))
+                .add(CExpr::var("x")),
+        },
+    ]);
+    let mut m = Module::new();
+    m.kernels.push(Kernel {
+        name: "row".into(),
+        params: vec![
+            KernelParam {
+                name: "in".into(),
+                ty: CType::const_restrict_pointer(CType::Float, AddrSpace::Global),
+            },
+            KernelParam {
+                name: "out".into(),
+                ty: CType::pointer(CType::Float, AddrSpace::Global),
+            },
+        ],
+        body,
+    });
+    m
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn interacting_rows_run_identically_on_both_engines(
+        stage in (0i64..4, 0i64..8),
+        first_read in (0i64..4, 0i64..8),
+        second_read in (0i64..4, 0i64..8),
+        overwrite in (0i64..4, 0i64..8),
+        in_reads in (0i64..10, 0i64..10),
+        barrier in any::<bool>(),
+        detect_races in any::<bool>(),
+    ) {
+        let (lo, hi) = in_reads;
+        let rows = Rows { stage, first_read, second_read, overwrite, lo, hi, barrier };
+        let m = interacting_rows(rows);
+        let input: Vec<f32> = (0..8).map(|i| i as f32 * 1.5).collect();
+        // `launch_both_engines` asserts the engines agree on buffers, counters or error.
+        let _ = launch_both_engines(
+            &m,
+            LaunchConfig::d1(8, 4),
+            vec![KernelArg::Buffer(input), KernelArg::zeros(8)],
+            detect_races,
+        );
+    }
+}
