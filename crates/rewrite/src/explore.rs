@@ -1550,6 +1550,73 @@ mod tests {
         assert!(explore(&p, &ExplorationConfig::default()).is_err());
     }
 
+    /// The seven programs of the tuner's `Workload::all()`, by workload name.
+    fn workload_programs() -> Vec<(&'static str, Program)> {
+        use lift_benchmarks::{convolution, dot_product, jacobi, mm, nbody};
+        vec![
+            ("dot_product", dot_product::high_level_program(512)),
+            ("matrix_multiply", mm::high_level_program(16, 16, 16)),
+            ("nbody", nbody::high_level_program(48)),
+            (
+                "dot_product_two_stage",
+                dot_product::high_level_full_program(1024),
+            ),
+            (
+                "convolution_1d",
+                convolution::high_level_program(256, convolution::FILTER),
+            ),
+            ("jacobi_2d", jacobi::high_level_program(8, 12)),
+            ("mm_tiled", mm::high_level_program(16, 16, 16)),
+        ]
+    }
+
+    /// FNV-1a over the length and the IEEE-754 bits of every element.
+    fn hash_bits(data: &[f32]) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut eat = |bytes: &[u8]| {
+            for b in bytes {
+                h ^= u64::from(*b);
+                h = h.wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        eat(&(data.len() as u64).to_le_bytes());
+        for v in data {
+            eat(&v.to_bits().to_le_bytes());
+        }
+        h
+    }
+
+    #[test]
+    fn test_vectors_match_the_golden_corpus() {
+        let expected = include_str!("../../../tests/fixtures/golden_test_vectors.tsv");
+        let sizes = Environment::new();
+        let actual: String = workload_programs()
+            .into_iter()
+            .map(|(name, program)| {
+                let mut typed = program.clone();
+                infer_types(&mut typed).expect("workload programs typecheck");
+                let inputs = generate_inputs(&typed, &sizes).expect("inputs generate");
+                let values: Vec<Value> = inputs.iter().map(|i| i.value.clone()).collect();
+                let reference = evaluate_with_sizes(&typed, &values, &sizes)
+                    .expect("reference evaluates")
+                    .flatten_f32();
+                let input_hashes: Vec<String> = inputs
+                    .iter()
+                    .map(|i| format!("{:016x}", hash_bits(&i.buffer)))
+                    .collect();
+                format!(
+                    "{name}\t{}\t{:016x}\n",
+                    input_hashes.join(","),
+                    hash_bits(&reference)
+                )
+            })
+            .collect();
+        assert_eq!(
+            actual, expected,
+            "test vectors differ from the golden corpus"
+        );
+    }
+
     #[test]
     fn dedup_keys_are_eight_bytes() {
         // The `seen` set retains exactly one `DedupKey` per distinct candidate: its payload
