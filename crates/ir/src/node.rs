@@ -388,7 +388,7 @@ pub enum FunDecl {
 }
 
 /// A whole Lift IL program: the node arenas plus a distinguished root lambda.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct Program {
     name: String,
     exprs: Vec<ExprNode>,

@@ -31,7 +31,7 @@
 //!   instead of sorting the whole frontier expansion.
 
 use std::collections::{BinaryHeap, HashMap, HashSet};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use lift_arith::Environment;
 use lift_codegen::{compile_program, CodegenError, CompilationOptions};
@@ -358,8 +358,94 @@ fn site_key(site_expr: &TermExpr, site: &Site) -> SiteKey {
 
 type RuleCache = Mutex<HashMap<SiteKey, u32>>;
 
+/// A program's test vector: its typed form, the deterministic inputs every candidate of it
+/// runs on, and the reference interpreter's output on those inputs.
+///
+/// Every fully lowered candidate is validated by executing it on these inputs and comparing
+/// its output with the reference ([`outputs_match`]). The vector is a pure function of the
+/// program and the sizes environment, so it is built once and shared through an [`Arc`]:
+/// [`enumerate`] builds one per search, and [`Enumerated::from_derivation`] takes one in, so
+/// a caller that re-proves the same program many times (the derivation service) evaluates
+/// the reference once.
+///
+/// This is the public home of the deterministic input generator: values on a quarter-step
+/// grid in `[-2, 2)`, drawn from a per-parameter linear congruential stream, so sums and
+/// products stay well inside `f32` exactness. Tools that need the exact inputs the explorer
+/// validates against should read [`TestVector::input_values`] instead of re-implementing it.
+#[derive(Debug)]
+pub struct TestVector {
+    program: Program,
+    typed: Program,
+    sizes: Environment,
+    inputs: Vec<PreparedInput>,
+    reference: Vec<f32>,
+}
+
+impl TestVector {
+    /// Type-infers `program`, generates its deterministic inputs under `sizes` and evaluates
+    /// the reference output with the interpreter.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ExploreError::Type`] when the program does not typecheck, and
+    /// [`ExploreError::Reference`] when an input cannot be generated for a root parameter's
+    /// type or the interpreter cannot evaluate the program.
+    pub fn new(program: &Program, sizes: &Environment) -> Result<TestVector, ExploreError> {
+        let mut typed = program.clone();
+        infer_types(&mut typed)?;
+        let inputs = generate_inputs(&typed, sizes).map_err(ExploreError::Reference)?;
+        let input_values: Vec<Value> = inputs.iter().map(|i| i.value.clone()).collect();
+        let reference = evaluate_with_sizes(&typed, &input_values, sizes)
+            .map_err(|e| ExploreError::Reference(e.to_string()))?
+            .flatten_f32();
+        Ok(TestVector {
+            program: program.clone(),
+            typed,
+            sizes: sizes.clone(),
+            inputs,
+            reference,
+        })
+    }
+
+    /// Whether this vector was built for exactly `program` under exactly `sizes` (full
+    /// structural equality, not a hash).
+    pub fn is_for(&self, program: &Program, sizes: &Environment) -> bool {
+        self.sizes == *sizes && self.program == *program
+    }
+
+    /// The program as it was given to [`TestVector::new`].
+    pub fn program(&self) -> &Program {
+        &self.program
+    }
+
+    /// The program after type inference.
+    pub fn typed(&self) -> &Program {
+        &self.typed
+    }
+
+    /// The bindings of the symbolic sizes the inputs and the reference were built under.
+    pub fn sizes(&self) -> &Environment {
+        &self.sizes
+    }
+
+    /// The inputs as interpreter values, one per root parameter in order.
+    pub fn input_values(&self) -> impl ExactSizeIterator<Item = &Value> {
+        self.inputs.iter().map(|i| &i.value)
+    }
+
+    /// The inputs as flat device buffers, one per root parameter in order.
+    pub fn input_buffers(&self) -> impl ExactSizeIterator<Item = &[f32]> {
+        self.inputs.iter().map(|i| i.buffer.as_slice())
+    }
+
+    /// The reference interpreter's output, flattened.
+    pub fn reference(&self) -> &[f32] {
+        &self.reference
+    }
+}
+
 /// The launch-independent half of an exploration: the fully lowered candidates found by the
-/// rule search, together with the deterministic inputs and the reference output.
+/// rule search, together with the program's [`TestVector`].
 ///
 /// The rule search only depends on the *search* knobs of the [`ExplorationConfig`]
 /// (`max_depth`, `beam_width`, `max_candidates`, `max_term_size`, `rule_options`) — not on
@@ -370,8 +456,7 @@ type RuleCache = Mutex<HashMap<SiteKey, u32>>;
 #[derive(Clone, Debug)]
 pub struct Enumerated {
     complete: Vec<Candidate>,
-    inputs: Vec<PreparedInput>,
-    reference: Vec<f32>,
+    vector: Arc<TestVector>,
     search: Exploration,
 }
 
@@ -389,32 +474,38 @@ impl Enumerated {
         self.complete.iter().map(|c| (&c.term, c.steps.as_slice()))
     }
 
+    /// The program's test vector: the inputs and reference output every candidate is
+    /// validated against.
+    pub fn test_vector(&self) -> &Arc<TestVector> {
+        &self.vector
+    }
+
     /// Reconstructs a single-candidate [`Enumerated`] from a recorded derivation chain
     /// instead of searching: the chain is replayed through [`crate::provenance::replay`]
-    /// (under `config.rule_options`) and the deterministic inputs and reference output are
-    /// regenerated exactly as [`enumerate`] would. Scoring the result re-runs the full
-    /// compile → static ownership check → execute → validate pipeline, so a cached
-    /// derivation served by the derivation service is re-proven sound on every hit — a
-    /// stale or corrupted cache entry fails here instead of reaching a device.
+    /// (under `config.rule_options`) on the vector's program, and the candidate is paired
+    /// with `vector` — the same inputs and reference output [`enumerate`] builds. Scoring
+    /// the result re-runs the full compile → static ownership check → execute → validate
+    /// pipeline, so a cached derivation served by the derivation service is re-proven sound
+    /// on every hit — a stale or corrupted cache entry fails here instead of reaching a
+    /// device.
     ///
     /// # Errors
     ///
-    /// Returns [`ExploreError::Replay`] when the chain does not apply to `program` (wrong
+    /// Returns [`ExploreError::Replay`] when the chain does not apply to the program (wrong
     /// program, renamed rule, out-of-range alternative — the typical symptoms of a stale
-    /// cache entry), and the usual input errors when `program` itself is invalid.
+    /// cache entry), and [`ExploreError::Reference`] when `vector` was built under other
+    /// sizes than `config.sizes`.
     pub fn from_derivation(
-        program: &Program,
+        vector: Arc<TestVector>,
         steps: &[DerivationStep],
         config: &ExplorationConfig,
     ) -> Result<Enumerated, ExploreError> {
-        let mut typed = program.clone();
-        infer_types(&mut typed)?;
-        let inputs = generate_inputs(&typed, &config.sizes).map_err(ExploreError::Reference)?;
-        let input_values: Vec<Value> = inputs.iter().map(|i| i.value.clone()).collect();
-        let reference = evaluate_with_sizes(&typed, &input_values, &config.sizes)
-            .map_err(|e| ExploreError::Reference(e.to_string()))?
-            .flatten_f32();
-        let term = crate::provenance::replay(program, steps, &config.rule_options)?;
+        if vector.sizes != config.sizes {
+            return Err(ExploreError::Reference(
+                "the test vector was built under other sizes".to_string(),
+            ));
+        }
+        let term = crate::provenance::replay(&vector.program, steps, &config.rule_options)?;
         let candidate = Candidate {
             high_level_left: high_level_count(&term.body),
             size: term.body.size(),
@@ -427,8 +518,7 @@ impl Enumerated {
         };
         Ok(Enumerated {
             complete: vec![candidate],
-            inputs,
-            reference,
+            vector,
             search,
         })
     }
@@ -467,8 +557,8 @@ impl Enumerated {
         let mut stats = self.search.clone();
         score_all(
             &self.complete,
-            &self.inputs,
-            &self.reference,
+            &self.vector.inputs,
+            &self.vector.reference,
             config,
             workers,
             &mut stats,
@@ -603,17 +693,8 @@ fn enumerate_impl(
     config: &ExplorationConfig,
     collector: &dyn Collector,
 ) -> Result<Enumerated, ExploreError> {
-    let mut typed = program.clone();
-    infer_types(&mut typed)?;
-
-    // Deterministic inputs + the reference output from the interpreter.
-    let inputs = generate_inputs(&typed, &config.sizes).map_err(ExploreError::Reference)?;
-    let input_values: Vec<Value> = inputs.iter().map(|i| i.value.clone()).collect();
-    let reference = evaluate_with_sizes(&typed, &input_values, &config.sizes)
-        .map_err(|e| ExploreError::Reference(e.to_string()))?
-        .flatten_f32();
-
-    let root = Term::from_program(&typed)?;
+    let vector = Arc::new(TestVector::new(program, &config.sizes)?);
+    let root = Term::from_program(&vector.typed)?;
     let workers = worker_count(config);
     let mut stats = Exploration::default();
     let mut seen: HashSet<DedupKey> = HashSet::new();
@@ -748,8 +829,7 @@ fn enumerate_impl(
     stats.lowered = complete.len();
     Ok(Enumerated {
         complete,
-        inputs,
-        reference,
+        vector,
         search: stats,
     })
 }
@@ -1548,73 +1628,6 @@ mod tests {
     fn exploration_rejects_untypeable_input() {
         let p = Program::new("empty");
         assert!(explore(&p, &ExplorationConfig::default()).is_err());
-    }
-
-    /// The seven programs of the tuner's `Workload::all()`, by workload name.
-    fn workload_programs() -> Vec<(&'static str, Program)> {
-        use lift_benchmarks::{convolution, dot_product, jacobi, mm, nbody};
-        vec![
-            ("dot_product", dot_product::high_level_program(512)),
-            ("matrix_multiply", mm::high_level_program(16, 16, 16)),
-            ("nbody", nbody::high_level_program(48)),
-            (
-                "dot_product_two_stage",
-                dot_product::high_level_full_program(1024),
-            ),
-            (
-                "convolution_1d",
-                convolution::high_level_program(256, convolution::FILTER),
-            ),
-            ("jacobi_2d", jacobi::high_level_program(8, 12)),
-            ("mm_tiled", mm::high_level_program(16, 16, 16)),
-        ]
-    }
-
-    /// FNV-1a over the length and the IEEE-754 bits of every element.
-    fn hash_bits(data: &[f32]) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut eat = |bytes: &[u8]| {
-            for b in bytes {
-                h ^= u64::from(*b);
-                h = h.wrapping_mul(0x0100_0000_01b3);
-            }
-        };
-        eat(&(data.len() as u64).to_le_bytes());
-        for v in data {
-            eat(&v.to_bits().to_le_bytes());
-        }
-        h
-    }
-
-    #[test]
-    fn test_vectors_match_the_golden_corpus() {
-        let expected = include_str!("../../../tests/fixtures/golden_test_vectors.tsv");
-        let sizes = Environment::new();
-        let actual: String = workload_programs()
-            .into_iter()
-            .map(|(name, program)| {
-                let mut typed = program.clone();
-                infer_types(&mut typed).expect("workload programs typecheck");
-                let inputs = generate_inputs(&typed, &sizes).expect("inputs generate");
-                let values: Vec<Value> = inputs.iter().map(|i| i.value.clone()).collect();
-                let reference = evaluate_with_sizes(&typed, &values, &sizes)
-                    .expect("reference evaluates")
-                    .flatten_f32();
-                let input_hashes: Vec<String> = inputs
-                    .iter()
-                    .map(|i| format!("{:016x}", hash_bits(&i.buffer)))
-                    .collect();
-                format!(
-                    "{name}\t{}\t{:016x}\n",
-                    input_hashes.join(","),
-                    hash_bits(&reference)
-                )
-            })
-            .collect();
-        assert_eq!(
-            actual, expected,
-            "test vectors differ from the golden corpus"
-        );
     }
 
     #[test]

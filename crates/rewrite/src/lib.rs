@@ -16,7 +16,9 @@
 //!   `mapVec`, `reduce` → `reduceSeq`, `toLocal`/`toGlobal`/`toPrivate` placement),
 //! * [`mod@explore`] — the exploration driver: applies rules under a depth/width budget,
 //!   re-typechecks every derived program, validates fully lowered candidates against the
-//!   reference interpreter on the virtual GPU and ranks them with the analytical cost model,
+//!   reference interpreter on the virtual GPU and ranks them with the analytical cost model;
+//!   a program's deterministic inputs and reference output form its [`TestVector`], built
+//!   once and shared by every search or replay of the program,
 //! * [`mod@provenance`] — replay and transcript rendering for recorded derivation chains.
 //!
 //! ```
@@ -91,7 +93,7 @@ pub mod typecheck;
 
 pub use explore::{
     canonical_key, enumerate, enumerate_with, explore, explore_with, CanonicalKey, DedupKey,
-    DerivationStep, Enumerated, Exploration, ExplorationConfig, ExploreError, Variant,
+    DerivationStep, Enumerated, Exploration, ExplorationConfig, ExploreError, TestVector, Variant,
 };
 pub use provenance::{explain, replay, ExplainedStep, Explanation, ReplayError};
 pub use rules::{

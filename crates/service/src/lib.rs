@@ -21,7 +21,11 @@
 //! A warm hit is not trusted blindly: the recorded chain replays through the provenance
 //! machinery ([`lift_rewrite::Enumerated::from_derivation`]) and re-runs compilation (with
 //! the static parallelism-ownership pass), virtual-GPU execution and output validation, so
-//! a stale cache can never serve an unsound kernel — it can only cost a re-derivation.
+//! a stale cache can never serve an unsound kernel — it can only cost a re-derivation. The
+//! validation reference ([`lift_rewrite::TestVector`]: deterministic inputs and the
+//! interpreter's output) depends only on the program and its sizes, so the service builds
+//! it on a program's first hit, keeps it in memory while a cached entry uses it, and
+//! reuses it on every later hit.
 //!
 //! ```
 //! use lift_service::{DerivationService, Request, Served, ServiceConfig};

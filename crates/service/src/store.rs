@@ -188,6 +188,11 @@ impl CacheStore {
         self.entries.is_empty()
     }
 
+    /// Whether an entry is cached under the address `id`.
+    pub(crate) fn contains(&self, id: &str) -> bool {
+        self.entries.contains_key(id)
+    }
+
     /// Total entries dropped by LRU pressure or collisions since this store was opened.
     pub fn evictions(&self) -> u64 {
         self.evictions
