@@ -413,21 +413,6 @@ impl TestVector {
         self.sizes == *sizes && self.program == *program
     }
 
-    /// The program as it was given to [`TestVector::new`].
-    pub fn program(&self) -> &Program {
-        &self.program
-    }
-
-    /// The program after type inference.
-    pub fn typed(&self) -> &Program {
-        &self.typed
-    }
-
-    /// The bindings of the symbolic sizes the inputs and the reference were built under.
-    pub fn sizes(&self) -> &Environment {
-        &self.sizes
-    }
-
     /// The inputs as interpreter values, one per root parameter in order.
     pub fn input_values(&self) -> impl ExactSizeIterator<Item = &Value> {
         self.inputs.iter().map(|i| &i.value)

@@ -37,7 +37,7 @@
 //! Wall-clock cost: a warm hit scores exactly one candidate; a cold miss runs a full
 //! enumerate+tune search — the orders-of-magnitude gap `cache_stats` measures.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use lift_arith::Environment;
@@ -193,9 +193,9 @@ impl TestVectors {
     /// Frees every vector no entry still in `store` uses.
     fn retain_live(&mut self, store: &CacheStore) {
         self.users.retain(|id, _| store.contains(id));
-        let users = &self.users;
+        let live: HashSet<*const TestVector> = self.users.values().map(Arc::as_ptr).collect();
         self.by_hash.retain(|_, slot| {
-            slot.retain(|v| users.values().any(|u| Arc::ptr_eq(u, v)));
+            slot.retain(|v| live.contains(&Arc::as_ptr(v)));
             !slot.is_empty()
         });
     }

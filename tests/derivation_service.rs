@@ -36,7 +36,7 @@ fn small_request_on(workload: &Workload, device: DeviceProfile) -> Request {
         3000
     };
     Request {
-        name: format!("{}@{}", workload.name, device.name),
+        name: workload.name.to_string(),
         program: workload.program.clone(),
         config,
     }
@@ -345,7 +345,7 @@ fn one_program_on_two_devices_evaluates_its_reference_once() {
     );
     for _ in 0..3 {
         for response in drain(&mut service, &requests) {
-            assert_eq!(response.served, Served::WarmHit, "{}", response.name);
+            assert_eq!(response.served, Served::WarmHit);
         }
     }
     let stats = service.stats();
@@ -420,8 +420,10 @@ fn programs_differing_only_in_a_literal_or_a_size_never_share_a_vector() {
     .map(small_request)
     .collect();
     drain(&mut service, &requests);
-    for response in drain(&mut service, &requests) {
-        assert_eq!(response.served, Served::WarmHit);
+    for _ in 0..2 {
+        for response in drain(&mut service, &requests) {
+            assert_eq!(response.served, Served::WarmHit);
+        }
     }
     let stats = service.stats();
     assert_eq!(
